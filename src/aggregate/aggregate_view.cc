@@ -158,8 +158,12 @@ Status AggregateView::Initialize(const Environment& env) {
 Status AggregateView::FoldInsert(const Tuple& tuple, const Schema& schema) {
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx, GroupIndices(schema));
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> agg_idx, AggIndices(schema));
-  Tuple group = tuple.Project(group_idx);
-  GroupState& state = groups_[group];
+  ProjectedRef group(tuple, group_idx);
+  auto it = groups_.find(group);
+  if (it == groups_.end()) {
+    it = groups_.emplace(group.ToTuple(), GroupState()).first;
+  }
+  GroupState& state = it->second;
   if (state.count == 0 && state.accums.empty()) {
     // Fresh group: neutral accumulators.
     for (size_t i = 0; i < def_.aggregates.size(); ++i) {
@@ -209,11 +213,11 @@ Status AggregateView::FoldInsert(const Tuple& tuple, const Schema& schema) {
 Status AggregateView::FoldDelete(const Tuple& tuple, const Schema& schema) {
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx, GroupIndices(schema));
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> agg_idx, AggIndices(schema));
-  Tuple group = tuple.Project(group_idx);
-  auto it = groups_.find(group);
+  auto it = groups_.find(ProjectedRef(tuple, group_idx));
   if (it == groups_.end()) {
     return Status::Internal(
-        StrCat("delete for unknown group ", group.ToString(),
+        StrCat("delete for unknown group ",
+               tuple.Project(group_idx).ToString(),
                " in aggregate '", def_.name, "'"));
   }
   GroupState& state = it->second;

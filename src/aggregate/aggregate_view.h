@@ -1,7 +1,7 @@
 #ifndef DWC_AGGREGATE_AGGREGATE_VIEW_H_
 #define DWC_AGGREGATE_AGGREGATE_VIEW_H_
 
-#include <map>
+#include <unordered_map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,7 +120,9 @@ class AggregateView {
   AggregateViewDef def_;
   Schema source_schema_;
   std::shared_ptr<Relation> materialized_;
-  std::map<Tuple, GroupState> groups_;
+  // Probed with ProjectedRef: folding a tuple builds its group key only
+  // for a new group.
+  std::unordered_map<Tuple, GroupState, TupleHash, TupleEq> groups_;
 };
 
 }  // namespace dwc

@@ -116,6 +116,16 @@ Result<Relation> UnionInto(const Relation& left, const Relation& right) {
   return out;
 }
 
+// Adds the projection of `tuple` onto `indices` to `keys`, building a key
+// tuple only when the set does not hold it yet.
+void AddKey(Relation::TupleSet* keys, const Tuple& tuple,
+            const std::vector<size_t>& indices) {
+  ProjectedRef key(tuple, indices);
+  if (keys->find(key) == keys->end()) {
+    keys->insert(key.ToTuple());
+  }
+}
+
 // Extracts top-level `attr = constant` conjuncts of `predicate` whose
 // attribute lives in `schema`, one per attribute (first occurrence wins —
 // the caller re-applies the full predicate afterwards, so this is only a
@@ -272,7 +282,7 @@ Result<Relation> Evaluator::HashJoin(const Relation& left,
         DWC_RETURN_IF_ERROR(CheckCancel());
         since_check = 0;
       }
-      auto bucket = index.find(pt.Project(probe_key));
+      auto bucket = index.find(ProjectedRef(pt, probe_key));
       if (bucket == index.end()) {
         continue;
       }
@@ -305,7 +315,7 @@ Result<Relation> Evaluator::HashJoin(const Relation& left,
                           std::vector<Tuple>* buffer) -> Status {
     for (size_t i = range.begin; i < range.end; ++i) {
       const Tuple& pt = *probe_tuples[i];
-      Tuple key = pt.Project(probe_key);
+      ProjectedRef key(pt, probe_key);
       const std::vector<const Tuple*>* bucket;
       if (cached != nullptr) {
         auto it = cached->find(key);
@@ -350,24 +360,33 @@ Status Evaluator::FilterInto(const Relation& in, const Predicate& predicate,
   return ParallelProduce(tuples.size(), exec, filter_morsel, out);
 }
 
-// Projects `in` onto `indices` into `out` (whose schema already matches),
-// building the projected tuples morsel-parallel for large inputs.
+// Projects `in` onto `indices` into `out` (whose schema already matches) in
+// one serial pass: each input tuple's projection probes `out` in place, and
+// a tuple is built only for a key `out` does not hold yet. A projection
+// usually keeps far fewer distinct rows than it reads, so this does less
+// work than building every projected tuple in parallel and deduplicating
+// them in a serial merge. The token is checked, and the new output tuples
+// charged, once per morsel.
 Status Evaluator::ProjectInto(const Relation& in,
                               const std::vector<size_t>& indices,
                               Relation* out) {
-  const ExecOptions exec = options_.exec();
-  if (exec.ShouldParallelize(in.size())) {
-    ++stats_.parallel_kernels;
-  }
-  const std::vector<const Tuple*> tuples = SnapshotTuples(in);
-  auto project_morsel = [&](MorselRange range,
-                            std::vector<Tuple>* buffer) -> Status {
-    for (size_t i = range.begin; i < range.end; ++i) {
-      buffer->push_back(tuples[i]->Project(indices));
+  const size_t chunk = options_.morsel_size == 0 ? 1024 : options_.morsel_size;
+  out->Reserve(in.size());
+  size_t seen = 0;
+  size_t uncharged = 0;
+  for (const Tuple& tuple : in.tuples()) {
+    if (seen++ % chunk == 0) {
+      DWC_RETURN_IF_ERROR(ChargeTuples(uncharged));
+      DWC_RETURN_IF_ERROR(CheckCancel());
+      uncharged = 0;
     }
-    return Status::Ok();
-  };
-  return ParallelProduce(tuples.size(), exec, project_morsel, out);
+    ProjectedRef key(tuple, indices);
+    if (!out->Contains(key)) {
+      out->Insert(key.ToTuple());
+      ++uncharged;
+    }
+  }
+  return ChargeTuples(uncharged);
 }
 
 // Set difference left - right. Schemas must share attribute names. Large
@@ -470,14 +489,13 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
   if (expr.kind() == Expr::Kind::kBase || expr.kind() == Expr::Kind::kEmpty) {
     return EvalNode(expr);
   }
-  const uint64_t id = interner_->IdOf(&expr);
-  if (id == 0) {
+  std::optional<ExprInterner::Interned> interned = interner_->Find(&expr);
+  if (!interned.has_value()) {
     return EvalNode(expr);  // Not an interned node: nothing to key on.
   }
-  const std::vector<std::string>* inputs = interner_->InputsOf(&expr);
-  if (inputs == nullptr) {
-    return EvalNode(expr);
-  }
+  const uint64_t id = interned->id;
+  const uint64_t cid = interned->cid;
+  const std::vector<std::string>* inputs = interned->inputs;
   // Snapshot the (uid, version) identity of every input relation, in the
   // interner's sorted-name order so commutative twins agree. An unresolved
   // name falls back to plain evaluation, which reports the error properly.
@@ -491,7 +509,6 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
     snapshot.emplace_back(rel->uid(), rel->version());
   }
 
-  const uint64_t cid = interner_->CidOf(&expr);
   if (std::optional<SubplanCache::Hit> hit = cache_->Lookup(cid, snapshot)) {
     if (hit->producer_id == id) {
       // Same structural node: the cached result is bit-identical to what
@@ -544,8 +561,8 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
   }
   // Non-leaf results are always owned (never env aliases), so the cache can
   // retain them safely.
-  stats_.cache_evictions +=
-      cache_->Insert(cid, id, std::move(snapshot), out->rel);
+  stats_.cache_evictions += cache_->Insert(cid, id, std::move(snapshot),
+                                           out->rel, std::move(interned->node));
   return out;
 }
 
@@ -684,7 +701,7 @@ Result<Evaluator::EvalOut> Evaluator::EvalDifference(const Expr& expr) {
       if (key_idx.ok()) {
         Relation::TupleSet keys;
         for (const Tuple& tuple : left.rel->tuples()) {
-          keys.insert(tuple.Project(*key_idx));
+          AddKey(&keys, tuple, *key_idx);
         }
         KeyFilter filter{std::move(attrs), &keys};
         ++stats_.pushdown_differences;
@@ -733,7 +750,7 @@ Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr) {
                              first.rel->schema().IndicesOf(common));
         Relation::TupleSet keys;
         for (const Tuple& tuple : first.rel->tuples()) {
-          keys.insert(tuple.Project(key_idx));
+          AddKey(&keys, tuple, key_idx);
         }
         KeyFilter filter{std::move(common), &keys};
         ++stats_.pushdown_joins;
@@ -907,7 +924,7 @@ Result<Evaluator::EvalOut> Evaluator::EvalWithFilter(const Expr& expr,
         }
         Relation::TupleSet sub_keys;
         for (const Tuple& key : *filter.keys) {
-          sub_keys.insert(key.Project(positions));
+          AddKey(&sub_keys, key, positions);
         }
         KeyFilter sub_filter{std::move(sub_attrs), &sub_keys};
         return EvalWithFilter(child, sub_filter);
@@ -922,7 +939,8 @@ Result<Evaluator::EvalOut> Evaluator::EvalWithFilter(const Expr& expr,
                            joined.schema().IndicesOf(filter.attrs));
       Relation out(joined.schema());
       for (const Tuple& tuple : joined.tuples()) {
-        if (filter.keys->find(tuple.Project(key_idx)) != filter.keys->end()) {
+        if (filter.keys->find(ProjectedRef(tuple, key_idx)) !=
+            filter.keys->end()) {
           out.Insert(tuple);
         }
       }

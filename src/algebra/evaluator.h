@@ -35,7 +35,7 @@ struct EvaluatorOptions {
   size_t pushdown_selectivity_factor = 8;
 
   // Degree of parallelism for the morsel-driven kernels (parallel hash
-  // join, select, project, difference): 0 = auto (hardware concurrency),
+  // join, select, difference): 0 = auto (hardware concurrency),
   // 1 = exact serial behaviour. Results are SameContentAs-identical at
   // every thread count — relations are sets, so kernel output order is
   // immaterial.
@@ -176,10 +176,12 @@ class Evaluator {
                                       : options_.cancel->Charge(tuples);
   }
 
-  // Morsel-driven kernels; each falls back to the serial path for small
-  // inputs or num_threads == 1. In HashJoin, `prefer_build_right` marks the
-  // right side as an environment binding whose cached index should be
-  // (re)used instead of a transient partitioned build.
+  // Kernels. HashJoin, FilterInto and SubtractInto are morsel-driven and
+  // fall back to the serial path for small inputs or num_threads == 1;
+  // ProjectInto is always one serial project-and-deduplicate pass. In
+  // HashJoin, `prefer_build_right` marks the right side as an environment
+  // binding whose cached index should be (re)used instead of a transient
+  // partitioned build.
   Result<Relation> HashJoin(const Relation& left, const Relation& right,
                             bool prefer_build_right);
   Status FilterInto(const Relation& in, const Predicate& predicate,

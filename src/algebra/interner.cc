@@ -131,18 +131,43 @@ ExprRef ExprInterner::Intern(const ExprRef& expr) {
   return InternLocked(expr);
 }
 
-uint64_t ExprInterner::CidForKeyLocked(const std::string& key) {
-  auto [it, inserted] = cid_by_key_.emplace(key, next_cid_);
-  if (inserted) {
-    ++next_cid_;
+const ExprInterner::NodeInfo* ExprInterner::FindLocked(
+    const Expr* expr) const {
+  auto it = info_.find(expr);
+  if (it == info_.end() || it->second.node.expired()) {
+    return nullptr;
   }
-  return it->second;
+  return &it->second;
+}
+
+void ExprInterner::EraseLocked(InfoMap::iterator it) {
+  CidMap::value_type* cid_class = it->second.cid_class;
+  if (--cid_class->second.nodes == 0) {
+    cid_by_key_.erase(cid_class->first);
+  }
+  info_.erase(it);
+}
+
+void ExprInterner::SweepLocked() {
+  for (auto it = info_.begin(); it != info_.end();) {
+    auto next = std::next(it);
+    if (it->second.node.expired()) {
+      EraseLocked(it);
+    }
+    it = next;
+  }
+  std::erase_if(by_key_,
+                [](const auto& entry) { return entry.second.expired(); });
 }
 
 ExprRef ExprInterner::InternLocked(const ExprRef& expr) {
   // Already canonical? (Fast path when re-interning shared subtrees.)
-  if (info_.find(expr.get()) != info_.end()) {
-    return expr;
+  auto self = info_.find(expr.get());
+  if (self != info_.end()) {
+    if (!self->second.node.expired()) {
+      return expr;
+    }
+    EraseLocked(self);  // A dead node's address, reused by `expr`.
   }
 
   ExprRef left;
@@ -153,22 +178,29 @@ ExprRef ExprInterner::InternLocked(const ExprRef& expr) {
   if (expr->right() != nullptr) {
     right = InternLocked(expr->right());
   }
+  // Children are live and canonical at this point.
+  const NodeInfo* left_info =
+      left != nullptr ? FindLocked(left.get()) : nullptr;
+  const NodeInfo* right_info =
+      right != nullptr ? FindLocked(right.get()) : nullptr;
 
-  // Structural key: kind + payload + child structural ids. Children are
-  // canonical at this point, so their ids fully identify them.
+  // Structural key: kind + payload + child structural ids, which fully
+  // identify the canonical children.
   std::string key;
   key.push_back(KindTag(expr->kind()));
   key += PayloadKey(*expr);
-  if (left != nullptr) {
-    AppendPart(&key, std::to_string(info_.at(left.get()).id));
+  if (left_info != nullptr) {
+    AppendPart(&key, std::to_string(left_info->id));
   }
-  if (right != nullptr) {
-    AppendPart(&key, std::to_string(info_.at(right.get()).id));
+  if (right_info != nullptr) {
+    AppendPart(&key, std::to_string(right_info->id));
   }
 
   auto existing = by_key_.find(key);
   if (existing != by_key_.end()) {
-    return existing->second;
+    if (ExprRef live = existing->second.lock()) {
+      return live;
+    }
   }
 
   // New class: reuse the original node when its children were already
@@ -200,9 +232,14 @@ ExprRef ExprInterner::InternLocked(const ExprRef& expr) {
       case Expr::Kind::kEmpty:
         break;  // Leaves have no children; unreachable here.
     }
+    auto dead = info_.find(node.get());
+    if (dead != info_.end()) {
+      EraseLocked(dead);  // The new node reuses a dead node's address.
+    }
   }
 
   NodeInfo info;
+  info.node = node;
   info.id = next_id_++;
 
   // Commutative class: joins and unions identify A∘B with B∘A by sorting
@@ -211,57 +248,78 @@ ExprRef ExprInterner::InternLocked(const ExprRef& expr) {
   cid_key.push_back(KindTag(expr->kind()));
   cid_key += PayloadKey(*expr);
   if (expr->kind() == Expr::Kind::kJoin || expr->kind() == Expr::Kind::kUnion) {
-    uint64_t lc = info_.at(left.get()).cid;
-    uint64_t rc = info_.at(right.get()).cid;
+    uint64_t lc = left_info->cid_class->second.cid;
+    uint64_t rc = right_info->cid_class->second.cid;
     if (lc > rc) {
       std::swap(lc, rc);
     }
     AppendPart(&cid_key, std::to_string(lc));
     AppendPart(&cid_key, std::to_string(rc));
   } else {
-    if (left != nullptr) {
-      AppendPart(&cid_key, std::to_string(info_.at(left.get()).cid));
+    if (left_info != nullptr) {
+      AppendPart(&cid_key, std::to_string(left_info->cid_class->second.cid));
     }
-    if (right != nullptr) {
-      AppendPart(&cid_key, std::to_string(info_.at(right.get()).cid));
+    if (right_info != nullptr) {
+      AppendPart(&cid_key, std::to_string(right_info->cid_class->second.cid));
     }
   }
-  info.cid = CidForKeyLocked(cid_key);
+  auto [cid_class, fresh] = cid_by_key_.try_emplace(std::move(cid_key));
+  if (fresh) {
+    cid_class->second.cid = next_cid_++;
+  }
+  ++cid_class->second.nodes;
+  info.cid_class = &*cid_class;
 
   if (expr->kind() == Expr::Kind::kBase) {
     info.inputs = {expr->base_name()};
-  } else if (left != nullptr && right != nullptr) {
-    info.inputs =
-        MergeInputs(info_.at(left.get()).inputs, info_.at(right.get()).inputs);
-  } else if (left != nullptr) {
-    info.inputs = info_.at(left.get()).inputs;
+  } else if (left_info != nullptr && right_info != nullptr) {
+    info.inputs = MergeInputs(left_info->inputs, right_info->inputs);
+  } else if (left_info != nullptr) {
+    info.inputs = left_info->inputs;
   }
 
+  // Once the maps have doubled since the last sweep, drop the dead entries,
+  // so they cost amortized O(1) per interned node. The child entries read
+  // above stay (they are live), and the new node is not in the maps yet.
+  if (info_.size() >= sweep_at_) {
+    SweepLocked();
+    sweep_at_ = std::max(kMinSweep, 2 * info_.size());
+  }
   info_.emplace(node.get(), std::move(info));
-  by_key_.emplace(std::move(key), node);
+  by_key_.insert_or_assign(std::move(key), node);
   return node;
+}
+
+std::optional<ExprInterner::Interned> ExprInterner::Find(
+    const Expr* expr) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = info_.find(expr);
+  if (it == info_.end()) {
+    return std::nullopt;
+  }
+  ExprRef node = it->second.node.lock();
+  if (node == nullptr) {
+    return std::nullopt;
+  }
+  return Interned{std::move(node), it->second.id,
+                  it->second.cid_class->second.cid, &it->second.inputs};
 }
 
 uint64_t ExprInterner::IdOf(const Expr* expr) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = info_.find(expr);
-  return it == info_.end() ? 0 : it->second.id;
+  const NodeInfo* info = FindLocked(expr);
+  return info == nullptr ? 0 : info->id;
 }
 
 uint64_t ExprInterner::CidOf(const Expr* expr) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = info_.find(expr);
-  return it == info_.end() ? 0 : it->second.cid;
+  const NodeInfo* info = FindLocked(expr);
+  return info == nullptr ? 0 : info->cid_class->second.cid;
 }
 
-const std::vector<std::string>* ExprInterner::InputsOf(const Expr* expr) const {
+size_t ExprInterner::size() {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = info_.find(expr);
-  return it == info_.end() ? nullptr : &it->second.inputs;
-}
-
-size_t ExprInterner::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  SweepLocked();
   return info_.size();
 }
 

@@ -21,6 +21,80 @@ std::optional<Schema> TrySchema(const ExprRef& expr,
   return std::move(schema).value();
 }
 
+// left ∪ right for already simplified operands. `expr` is the original
+// node, returned unchanged when no rule fires; null when there is none.
+ExprRef SimplifyUnion(const ExprRef& expr, const ExprRef& left,
+                      const ExprRef& right) {
+  if (IsEmptyNode(left)) {
+    return right;
+  }
+  if (IsEmptyNode(right)) {
+    return left;
+  }
+  if (left->Equals(*right)) {
+    return left;
+  }
+  if (expr != nullptr && left == expr->left() && right == expr->right()) {
+    return expr;
+  }
+  return Expr::Union(left, right);
+}
+
+// π[attrs](child) for an already simplified `child`; `expr` as above.
+ExprRef SimplifyProject(const ExprRef& expr,
+                        const std::vector<std::string>& attrs,
+                        const ExprRef& child, const SchemaResolver* resolver) {
+  auto unchanged = [&] {
+    return expr != nullptr && child == expr->child()
+               ? expr
+               : Expr::Project(attrs, child);
+  };
+  if (IsEmptyNode(child)) {
+    // Empty projects to an empty relation over the projected attributes.
+    std::vector<Attribute> kept;
+    for (const std::string& name : attrs) {
+      std::optional<size_t> idx = child->empty_schema().IndexOf(name);
+      if (!idx.has_value()) {
+        return unchanged();  // Ill-typed; leave for the evaluator to report.
+      }
+      kept.push_back(child->empty_schema().attribute(*idx));
+    }
+    Result<Schema> schema = Schema::Create(std::move(kept));
+    if (!schema.ok()) {
+      return unchanged();
+    }
+    return Expr::Empty(std::move(schema).value());
+  }
+  if (child->kind() == Expr::Kind::kProject) {
+    return SimplifyProject(nullptr, attrs, child->child(), resolver);
+  }
+  std::optional<Schema> child_schema = TrySchema(child, resolver);
+  // Identity projection: same attribute list, same order as the child.
+  if (child_schema.has_value() && child_schema->size() == attrs.size()) {
+    bool identity = true;
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      if (child_schema->attribute(i).name != attrs[i]) {
+        identity = false;
+        break;
+      }
+    }
+    if (identity) {
+      return child;
+    }
+  }
+  // π_A(e1 ∪ e2) → π_A(e1) ∪ π_A(e2): each operand then keeps only its
+  // distinct A-rows instead of the union materializing every row first.
+  // Both sides come out in A's column order. Only over a union whose schema
+  // resolves, so an ill-typed union is left for the evaluator to report.
+  // (Never over a difference: π does not distribute over −.)
+  if (child->kind() == Expr::Kind::kUnion && child_schema.has_value()) {
+    return SimplifyUnion(
+        nullptr, SimplifyProject(nullptr, attrs, child->left(), resolver),
+        SimplifyProject(nullptr, attrs, child->right(), resolver));
+  }
+  return unchanged();
+}
+
 }  // namespace
 
 ExprRef Simplify(const ExprRef& expr, const SchemaResolver* resolver) {
@@ -44,45 +118,9 @@ ExprRef Simplify(const ExprRef& expr, const SchemaResolver* resolver) {
       return child == expr->child() ? expr
                                     : Expr::Select(expr->predicate(), child);
     }
-    case Expr::Kind::kProject: {
-      ExprRef child = Simplify(expr->child(), resolver);
-      if (IsEmptyNode(child)) {
-        // Empty projects to an empty relation over the projected attributes.
-        std::vector<Attribute> attrs;
-        for (const std::string& name : expr->attrs()) {
-          std::optional<size_t> idx = child->empty_schema().IndexOf(name);
-          if (!idx.has_value()) {
-            return expr;  // Ill-typed; leave for the evaluator to report.
-          }
-          attrs.push_back(child->empty_schema().attribute(*idx));
-        }
-        Result<Schema> schema = Schema::Create(std::move(attrs));
-        if (!schema.ok()) {
-          return expr;
-        }
-        return Expr::Empty(std::move(schema).value());
-      }
-      if (child->kind() == Expr::Kind::kProject) {
-        return Simplify(Expr::Project(expr->attrs(), child->child()),
-                        resolver);
-      }
-      // Identity projection: same attribute list, same order as the child.
-      std::optional<Schema> child_schema = TrySchema(child, resolver);
-      if (child_schema.has_value() &&
-          child_schema->size() == expr->attrs().size()) {
-        bool identity = true;
-        for (size_t i = 0; i < expr->attrs().size(); ++i) {
-          if (child_schema->attribute(i).name != expr->attrs()[i]) {
-            identity = false;
-            break;
-          }
-        }
-        if (identity) {
-          return child;
-        }
-      }
-      return child == expr->child() ? expr : Expr::Project(expr->attrs(), child);
-    }
+    case Expr::Kind::kProject:
+      return SimplifyProject(expr, expr->attrs(),
+                             Simplify(expr->child(), resolver), resolver);
     case Expr::Kind::kRename: {
       ExprRef child = Simplify(expr->child(), resolver);
       bool trivial = true;
@@ -114,23 +152,9 @@ ExprRef Simplify(const ExprRef& expr, const SchemaResolver* resolver) {
       }
       return Expr::Join(left, right);
     }
-    case Expr::Kind::kUnion: {
-      ExprRef left = Simplify(expr->left(), resolver);
-      ExprRef right = Simplify(expr->right(), resolver);
-      if (IsEmptyNode(left)) {
-        return right;
-      }
-      if (IsEmptyNode(right)) {
-        return left;
-      }
-      if (left->Equals(*right)) {
-        return left;
-      }
-      if (left == expr->left() && right == expr->right()) {
-        return expr;
-      }
-      return Expr::Union(left, right);
-    }
+    case Expr::Kind::kUnion:
+      return SimplifyUnion(expr, Simplify(expr->left(), resolver),
+                           Simplify(expr->right(), resolver));
     case Expr::Kind::kDifference: {
       ExprRef left = Simplify(expr->left(), resolver);
       ExprRef right = Simplify(expr->right(), resolver);

@@ -10,6 +10,8 @@ namespace dwc {
 //   select[true](e) -> e            select(empty) -> empty
 //   select[p](select[q](e)) -> select[p and q](e)
 //   project over project collapses; identity projections vanish
+//   project[A](e1 union e2) -> project[A](e1) union project[A](e2)
+//     (needs the union's schema; never over a difference)
 //   joins/unions/differences with the empty relation collapse
 //   union/difference of structurally equal operands collapse
 //   rename with an empty map vanishes

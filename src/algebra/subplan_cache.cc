@@ -60,7 +60,8 @@ std::optional<SubplanCache::Hit> SubplanCache::Lookup(
 
 size_t SubplanCache::Insert(uint64_t cid, uint64_t producer_id,
                             Snapshot snapshot,
-                            std::shared_ptr<const Relation> rel) {
+                            std::shared_ptr<const Relation> rel,
+                            ExprRef producer) {
   if (rel == nullptr) {
     return 0;
   }
@@ -81,6 +82,7 @@ size_t SubplanCache::Insert(uint64_t cid, uint64_t producer_id,
   lru_.push_front(cid);
   Entry entry;
   entry.producer_id = producer_id;
+  entry.producer = std::move(producer);
   entry.snapshot = std::move(snapshot);
   entry.rel = std::move(rel);
   entry.tuples = tuples;

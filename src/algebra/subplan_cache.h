@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/expr.h"
 #include "relational/relation.h"
 
 namespace dwc {
@@ -73,9 +74,12 @@ class SubplanCache {
   // Stores an evaluated subplan, replacing any previous entry for `cid`,
   // then evicts least-recently-used entries until the budget holds.
   // Returns the number of evictions performed. Entries larger than the
-  // whole budget are not stored.
+  // whole budget are not stored. The entry holds `producer`, the interned
+  // node that produced it, so the node and its cid stay interned as long
+  // as the result is cached (the interner does not own its nodes).
   size_t Insert(uint64_t cid, uint64_t producer_id, Snapshot snapshot,
-                std::shared_ptr<const Relation> rel);
+                std::shared_ptr<const Relation> rel,
+                ExprRef producer = nullptr);
 
   void Clear();
 
@@ -86,6 +90,7 @@ class SubplanCache {
  private:
   struct Entry {
     uint64_t producer_id = 0;
+    ExprRef producer;
     Snapshot snapshot;
     std::shared_ptr<const Relation> rel;
     size_t tuples = 0;

@@ -7,8 +7,9 @@
 
 namespace dwc {
 
-Result<ExprRef> TranslateQueryRaw(const ExprRef& query,
-                                  const WarehouseSpec& spec) {
+namespace {
+
+Status CheckNames(const ExprRef& query, const WarehouseSpec& spec) {
   for (const std::string& name : query->ReferencedNames()) {
     if (spec.FindInverse(name) == nullptr &&
         spec.FindWarehouseSchema(name) == nullptr) {
@@ -17,13 +18,20 @@ Result<ExprRef> TranslateQueryRaw(const ExprRef& query,
                  "', which is neither a base relation nor a warehouse view"));
     }
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ExprRef> TranslateQueryRaw(const ExprRef& query,
+                                  const WarehouseSpec& spec) {
+  DWC_RETURN_IF_ERROR(CheckNames(query, spec));
   return SubstituteNames(query, spec.inverses());
 }
 
-Result<ExprRef> TranslateQuery(const ExprRef& query,
-                               const WarehouseSpec& spec) {
-  DWC_ASSIGN_OR_RETURN(ExprRef translated, TranslateQueryRaw(query, spec));
-  SchemaResolver resolver = spec.WarehouseResolver();
+ExprRef PlanTranslation(const ExprRef& query, const WarehouseSpec& spec,
+                        const SchemaResolver& resolver) {
+  ExprRef translated = SubstituteNames(query, spec.inverses());
   translated = Simplify(translated, &resolver);
   // Push selections toward the leaves so the evaluator can probe indexes
   // inside the (often large) inverse reconstructions.
@@ -35,6 +43,12 @@ Result<ExprRef> TranslateQuery(const ExprRef& query,
   // subplan cache turn a repeated translated query against an unchanged
   // state into a pure cache hit.
   return spec.interner()->Intern(translated);
+}
+
+Result<ExprRef> TranslateQuery(const ExprRef& query,
+                               const WarehouseSpec& spec) {
+  DWC_RETURN_IF_ERROR(CheckNames(query, spec));
+  return PlanTranslation(query, spec, spec.WarehouseResolver());
 }
 
 }  // namespace dwc

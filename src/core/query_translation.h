@@ -21,6 +21,15 @@ Result<ExprRef> TranslateQuery(const ExprRef& query, const WarehouseSpec& spec);
 Result<ExprRef> TranslateQueryRaw(const ExprRef& query,
                                   const WarehouseSpec& spec);
 
+// The plan half of TranslateQuery, for a query whose names the caller has
+// already checked: substitutes W^-1, simplifies, pushes selections toward
+// the leaves, simplifies again and interns the plan in the spec's
+// interner. `resolver` gives the schema of every name the plan may read.
+// Warehouse::AnswerQueryAt goes through it too, so both paths evaluate the
+// same plan.
+ExprRef PlanTranslation(const ExprRef& query, const WarehouseSpec& spec,
+                        const SchemaResolver& resolver);
+
 }  // namespace dwc
 
 #endif  // DWC_CORE_QUERY_TRANSLATION_H_

@@ -67,7 +67,7 @@ inline MorselRange MorselAt(size_t n, size_t morsel_size, size_t index) {
 // not mutated — which the evaluation contract guarantees.
 std::vector<const Tuple*> SnapshotTuples(const Relation& rel);
 
-// The workhorse shape shared by parallel select / project / difference /
+// The workhorse shape shared by parallel select / difference /
 // join-probe: every morsel produces output tuples into its own buffer
 // (`produce(range, &buffer)`), buffers are merged into `out` serially in
 // morsel order. Set semantics make the result independent of morsel
@@ -92,8 +92,10 @@ class PartitionedIndex {
                                 const std::vector<size_t>& key_indices,
                                 const ExecOptions& options);
 
-  // The bucket for `key`, or nullptr when no build tuple matches.
-  const std::vector<const Tuple*>* Find(const Tuple& key) const {
+  // The bucket for `key` (a Tuple or a ProjectedRef), or nullptr when no
+  // build tuple matches.
+  template <typename Key>
+  const std::vector<const Tuple*>* Find(const Key& key) const {
     const Relation::Index& part = partitions_[key.Hash() & mask_];
     auto it = part.find(key);
     return it == part.end() ? nullptr : &it->second;

@@ -7,6 +7,16 @@
 
 namespace dwc {
 
+void Relation::AddToIndex(IndexEntry* entry, const Tuple* tuple) {
+  ProjectedRef key(*tuple, entry->indices);
+  auto bucket = entry->index.find(key);
+  if (bucket == entry->index.end()) {
+    bucket = entry->index.emplace(key.ToTuple(), std::vector<const Tuple*>())
+                 .first;
+  }
+  bucket->second.push_back(tuple);
+}
+
 bool Relation::Insert(Tuple tuple) {
   assert(tuple.size() == schema_.size());
   auto [it, inserted] = tuples_.insert(std::move(tuple));
@@ -14,8 +24,7 @@ bool Relation::Insert(Tuple tuple) {
     ++version_;
     for (auto& [name, entry] : indexes_) {
       (void)name;
-      Tuple key = it->Project(entry.indices);
-      entry.index[key].push_back(&*it);
+      AddToIndex(&entry, &*it);
     }
   }
   return inserted;
@@ -29,8 +38,8 @@ bool Relation::Erase(const Tuple& tuple) {
   const Tuple* stored = &*it;
   for (auto& [name, entry] : indexes_) {
     (void)name;
-    Tuple key = stored->Project(entry.indices);
-    auto bucket_it = entry.index.find(key);
+    auto bucket_it =
+        entry.index.find(ProjectedRef(*stored, entry.indices));
     if (bucket_it != entry.index.end()) {
       auto& bucket = bucket_it->second;
       bucket.erase(std::remove(bucket.begin(), bucket.end(), stored),
@@ -70,7 +79,7 @@ const Relation::Index& Relation::GetIndex(
   assert(indices.ok() && "GetIndex attributes must belong to the schema");
   entry.indices = std::move(indices).value();
   for (const Tuple& tuple : tuples_) {
-    entry.index[tuple.Project(entry.indices)].push_back(&tuple);
+    AddToIndex(&entry, &tuple);
   }
   auto [pos, inserted] = indexes_.emplace(std::move(key), std::move(entry));
   (void)inserted;

@@ -34,11 +34,13 @@ namespace dwc {
 // phase.
 class Relation {
  public:
-  // Tuples equal under TupleHash/== are stored once.
-  using TupleSet = std::unordered_set<Tuple, TupleHash>;
+  // Tuples equal under TupleHash/TupleEq are stored once. Both containers
+  // can be probed with a ProjectedRef, which builds no key tuple.
+  using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
   // Key: the projection of a tuple onto the indexed attributes.
   // The pointers reference tuples owned by tuples_ (stable: node-based set).
-  using Index = std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash>;
+  using Index =
+      std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash, TupleEq>;
 
   Relation() = default;
   explicit Relation(Schema schema) : schema_(std::move(schema)) {}
@@ -90,6 +92,9 @@ class Relation {
   bool Contains(const Tuple& tuple) const {
     return tuples_.find(tuple) != tuples_.end();
   }
+  bool Contains(const ProjectedRef& tuple) const {
+    return tuples_.find(tuple) != tuples_.end();
+  }
 
   // Returns true if the tuple was not already present. The tuple must match
   // the schema arity (checked by assert, it is a programming error otherwise).
@@ -103,15 +108,10 @@ class Relation {
   void Reserve(size_t n) { tuples_.reserve(tuples_.size() + n); }
 
   // Returns the (possibly cached) index over `attrs`, which must all belong
-  // to the schema. Lookups use MakeKey(). The reference stays valid until the
+  // to the schema. Probe it with the key tuple, or with a ProjectedRef of any
+  // tuple that holds the key values. The reference stays valid until the
   // relation is destroyed or assigned over.
   const Index& GetIndex(const std::vector<std::string>& attrs) const;
-
-  // Builds a lookup key for GetIndex(attrs) from any tuple of `from_schema`
-  // that contains all of `attrs`.
-  static Tuple MakeKey(const Tuple& tuple, const std::vector<size_t>& indices) {
-    return tuple.Project(indices);
-  }
 
   // Tuples in deterministic (lexicographic) order; for printing and tests.
   std::vector<Tuple> SortedTuples() const;
@@ -146,6 +146,10 @@ class Relation {
     std::vector<size_t> indices;
     Index index;
   };
+
+  // Files `tuple` (owned by tuples_) under its key in `entry`, building the
+  // key tuple only for a key the index does not hold yet.
+  static void AddToIndex(IndexEntry* entry, const Tuple* tuple);
 
   Schema schema_;
   TupleSet tuples_;

@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "algebra/evaluator.h"
-#include "algebra/optimizer.h"
-#include "algebra/rewriter.h"
-#include "algebra/simplifier.h"
+#include "core/query_translation.h"
 #include "exec/thread_pool.h"
 #include "util/string_util.h"
 
@@ -752,39 +750,7 @@ Result<Relation> Warehouse::AnswerQueryAt(const SnapshotHandle& snapshot,
                " was shed by the epoch-lag backpressure policy (current "
                "epoch is ", epochs_->current_epoch(), "); re-pin and retry"));
   }
-  // Like TranslateQuery, but aggregate views are additionally addressable.
-  // Name checks and schema resolution go through the snapshot (not the
-  // live aggregate map): the writer may be registering views concurrently.
-  for (const std::string& name : query->ReferencedNames()) {
-    if (spec_->FindInverse(name) == nullptr &&
-        spec_->FindWarehouseSchema(name) == nullptr &&
-        snapshot.Find(name) == nullptr) {
-      return Status::NotFound(
-          StrCat("query references '", name,
-                 "', which is neither a base relation, a warehouse view, "
-                 "nor an aggregate view"));
-    }
-  }
-  ExprRef translated = SubstituteNames(query, spec_->inverses());
-  SchemaResolver warehouse_resolver = spec_->WarehouseResolver();
-  auto resolver = [&snapshot, &warehouse_resolver](
-                      const std::string& name) -> const Schema* {
-    const Schema* schema = warehouse_resolver(name);
-    if (schema != nullptr) {
-      return schema;
-    }
-    const Relation* rel = snapshot.Find(name);
-    return rel == nullptr ? nullptr : &rel->schema();
-  };
-  SchemaResolver resolver_fn = resolver;
-  translated = Simplify(translated, &resolver_fn);
-  translated = PushDownSelections(translated, resolver_fn);
-  translated = Simplify(translated, &resolver_fn);
-  // Canonicalize the optimized plan: a repeated query against an unchanged
-  // warehouse recycles every one of its subplans from the cache (the
-  // (uid, version) snapshot keys make cached results epoch-correct: a hit
-  // can only come from the exact relation versions this snapshot pinned).
-  translated = spec_->interner()->Intern(translated);
+  DWC_ASSIGN_OR_RETURN(ExprRef translated, PlanQueryAt(snapshot, query));
   Environment env;
   for (const auto& [name, rel] : snapshot.relations()) {
     env.Bind(name, rel.get());
@@ -799,6 +765,38 @@ Result<Relation> Warehouse::AnswerQueryAt(const SnapshotHandle& snapshot,
     *stats = evaluator.stats();
   }
   return result;
+}
+
+Result<ExprRef> Warehouse::PlanQueryAt(const SnapshotHandle& snapshot,
+                                       const ExprRef& query) const {
+  // Like TranslateQuery, but aggregate views are additionally addressable.
+  // Name checks and schema resolution go through the snapshot (not the
+  // live aggregate map): the writer may be registering views concurrently.
+  for (const std::string& name : query->ReferencedNames()) {
+    if (spec_->FindInverse(name) == nullptr &&
+        spec_->FindWarehouseSchema(name) == nullptr &&
+        snapshot.Find(name) == nullptr) {
+      return Status::NotFound(
+          StrCat("query references '", name,
+                 "', which is neither a base relation, a warehouse view, "
+                 "nor an aggregate view"));
+    }
+  }
+  SchemaResolver warehouse_resolver = spec_->WarehouseResolver();
+  SchemaResolver resolver = [&snapshot, &warehouse_resolver](
+                                const std::string& name) -> const Schema* {
+    const Schema* schema = warehouse_resolver(name);
+    if (schema != nullptr) {
+      return schema;
+    }
+    const Relation* rel = snapshot.Find(name);
+    return rel == nullptr ? nullptr : &rel->schema();
+  };
+  // The plan is interned: a repeated query against an unchanged warehouse
+  // recycles every one of its subplans from the cache (the (uid, version)
+  // snapshot keys make cached results epoch-correct: a hit can only come
+  // from the exact relation versions this snapshot pinned).
+  return PlanTranslation(query, *spec_, resolver);
 }
 
 Status Warehouse::ResetFromSources(const Database& sources) {

@@ -145,6 +145,13 @@ class Warehouse {
                                  EvalStats* stats = nullptr,
                                  const CancelToken* cancel = nullptr) const;
 
+  // The interned plan AnswerQueryAt evaluates for `query` over `snapshot`
+  // (PlanTranslation with the snapshot's aggregate views resolvable). For a
+  // query over base relations and warehouse views it is the node
+  // TranslateQuery returns.
+  Result<ExprRef> PlanQueryAt(const SnapshotHandle& snapshot,
+                              const ExprRef& query) const;
+
   // Snapshot-epoch observability. current_epoch() is the number of the
   // most recently published epoch (1 right after Load; +1 per committed
   // state transition; distinct from the *delivery* epochs on

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "parser/parser.h"
+#include "runtime/cancel.h"
 #include "testing/test_util.h"
 
 namespace dwc {
@@ -161,6 +162,64 @@ TEST_F(EvaluatorTest, ComposedExpression) {
       Eval("project[a, c](select[c != 'y'](R join S)) minus empty[a INT, c STRING]");
   EXPECT_EQ(out.size(), 1u);
   EXPECT_TRUE(out.Contains(T({I(1), S("x")})));
+}
+
+// Projection is one fused project-and-deduplicate pass: it charges the
+// token's budget for each distinct output tuple, not for each row read,
+// and checks the token once per morsel.
+class FusedProjectionTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRows = 100000;
+  static constexpr size_t kMorsel = 64;
+
+  void SetUp() override {
+    for (int64_t k = 0; k < kRows; ++k) {
+      wide_.Insert(T({I(k), I(k % 3)}));
+    }
+    env_.Bind("W", &wide_);
+  }
+
+  Result<Relation> Project(const char* attr, const CancelToken* token) {
+    EvaluatorOptions options;
+    options.cancel = token;
+    options.morsel_size = kMorsel;
+    Evaluator evaluator(&env_, options);
+    return evaluator.Materialize(*Expr::Project({attr}, Expr::Base("W")));
+  }
+
+  Relation wide_{Schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}})};
+  Environment env_;
+};
+
+TEST_F(FusedProjectionTest, ChargesEachDistinctOutputTuple) {
+  // 100 000 rows read, 3 kept: a budget of 3 tuples is enough.
+  auto token = CancelToken::WithBudget(3);
+  Result<Relation> out = Project("v", token.get());
+  DWC_ASSERT_OK(out);
+  EXPECT_EQ(out->size(), 3u);
+  EXPECT_EQ(token->charged_tuples(), 3u);
+}
+
+TEST_F(FusedProjectionTest, BudgetFiresWithinOneMorsel) {
+  const size_t budget = 1000;
+  auto token = CancelToken::WithBudget(budget);
+  Result<Relation> out = Project("k", token.get());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(token->charged_tuples(), budget);
+  EXPECT_LE(token->charged_tuples(), budget + kMorsel);
+}
+
+TEST_F(FusedProjectionTest, DeadlineStopsThePass) {
+  auto expired = CancelToken::WithDeadline(std::chrono::milliseconds(-1));
+  EXPECT_EQ(Project("k", expired.get()).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired->charged_tuples(), 0u);
+  // A deadline that passes during the pass is seen at the next morsel
+  // boundary: the pass stops before it has built every output tuple.
+  auto soon = CancelToken::WithDeadline(std::chrono::microseconds(500));
+  EXPECT_EQ(Project("k", soon.get()).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_LT(soon->charged_tuples(), static_cast<size_t>(kRows));
 }
 
 }  // namespace

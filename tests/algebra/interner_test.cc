@@ -7,6 +7,7 @@
 
 #include "algebra/expr.h"
 #include "algebra/predicate.h"
+#include "algebra/subplan_cache.h"
 #include "testing/test_util.h"
 
 namespace dwc {
@@ -107,9 +108,9 @@ TEST(InternerTest, InputsOfListsSortedTransitiveBases) {
   ExprRef expr = interner.Intern(Expr::Join(
       Expr::Base("Zeta"), SelGt("x", 1, Expr::Join(Expr::Base("Alpha"),
                                                    Expr::Base("Zeta")))));
-  const std::vector<std::string>* inputs = interner.InputsOf(expr.get());
-  ASSERT_NE(inputs, nullptr);
-  EXPECT_EQ(*inputs, (std::vector<std::string>{"Alpha", "Zeta"}));
+  std::optional<ExprInterner::Interned> interned = interner.Find(expr.get());
+  ASSERT_TRUE(interned.has_value());
+  EXPECT_EQ(*interned->inputs, (std::vector<std::string>{"Alpha", "Zeta"}));
 }
 
 TEST(InternerTest, ForeignNodesAreUnknown) {
@@ -117,7 +118,7 @@ TEST(InternerTest, ForeignNodesAreUnknown) {
   ExprRef foreign = Expr::Base("R");
   EXPECT_EQ(interner.IdOf(foreign.get()), 0u);
   EXPECT_EQ(interner.CidOf(foreign.get()), 0u);
-  EXPECT_EQ(interner.InputsOf(foreign.get()), nullptr);
+  EXPECT_FALSE(interner.Find(foreign.get()).has_value());
   EXPECT_EQ(interner.IdOf(nullptr), 0u);
 }
 
@@ -140,6 +141,96 @@ TEST(InternerTest, ConcurrentInterningConverges) {
     EXPECT_EQ(results[t].get(), results[0].get());
   }
   EXPECT_EQ(interner.size(), 4u);
+}
+
+TEST(InternerTest, DroppedNodesLeaveTheInterner) {
+  ExprInterner interner;
+  ExprRef held = interner.Intern(Expr::Join(Expr::Base("R"), Expr::Base("S")));
+  const size_t base_size = interner.size();
+  EXPECT_EQ(base_size, 3u);
+  uint64_t last_id = 0;
+  for (int64_t k = 0; k < 2000; ++k) {
+    // A one-off plan over the held join: only its select node is new.
+    ExprRef once = interner.Intern(SelGt("x", k, held));
+    EXPECT_EQ(once->child().get(), held.get());
+    uint64_t id = interner.IdOf(once.get());
+    EXPECT_GT(id, last_id);  // Ids are never reused.
+    last_id = id;
+  }
+  EXPECT_EQ(interner.size(), base_size);
+  // The held nodes kept their ids and classes throughout.
+  ExprRef again = interner.Intern(Expr::Join(Expr::Base("R"), Expr::Base("S")));
+  EXPECT_EQ(again.get(), held.get());
+}
+
+TEST(InternerTest, ReinterningADroppedTreeGivesFreshIds) {
+  ExprInterner interner;
+  uint64_t first_id = 0;
+  uint64_t first_cid = 0;
+  {
+    ExprRef plan = interner.Intern(SelGt("x", 1, Expr::Base("R")));
+    first_id = interner.IdOf(plan.get());
+    first_cid = interner.CidOf(plan.get());
+  }
+  EXPECT_EQ(interner.size(), 0u);  // Drops the dead entries and classes.
+  ExprRef plan = interner.Intern(SelGt("x", 1, Expr::Base("R")));
+  EXPECT_GT(interner.IdOf(plan.get()), first_id);
+  EXPECT_GT(interner.CidOf(plan.get()), first_cid);
+}
+
+TEST(InternerTest, DeadNodeAddressIsNotMistakenForIt) {
+  ExprInterner interner;
+  const Expr* dead_address = nullptr;
+  {
+    ExprRef plan = interner.Intern(Expr::Base("R"));
+    dead_address = plan.get();
+    ASSERT_NE(interner.IdOf(dead_address), 0u);
+  }
+  EXPECT_EQ(interner.IdOf(dead_address), 0u);
+  EXPECT_EQ(interner.CidOf(dead_address), 0u);
+  EXPECT_FALSE(interner.Find(dead_address).has_value());
+  // Allocate until a new node lands on the dead node's address (the
+  // allocator usually hands it straight back). It must be unknown until
+  // interned, and then interned as itself.
+  std::vector<ExprRef> keep;
+  for (int i = 0; i < 64; ++i) {
+    ExprRef fresh = Expr::Base("S");
+    if (fresh.get() == dead_address) {
+      EXPECT_EQ(interner.IdOf(fresh.get()), 0u);
+      ExprRef canonical = interner.Intern(fresh);
+      EXPECT_EQ(canonical.get(), fresh.get());
+      EXPECT_EQ(canonical->base_name(), "S");
+      std::optional<ExprInterner::Interned> interned =
+          interner.Find(fresh.get());
+      ASSERT_TRUE(interned.has_value());
+      EXPECT_EQ(*interned->inputs, std::vector<std::string>{"S"});
+      break;
+    }
+    keep.push_back(std::move(fresh));
+  }
+}
+
+TEST(InternerTest, CacheEntryKeepsItsProducerInterned) {
+  ExprInterner interner;
+  SubplanCache cache;
+  cache.set_budget(100);
+  uint64_t cid = 0;
+  {
+    ExprRef plan = interner.Intern(SelGt("x", 3, Expr::Base("R")));
+    std::optional<ExprInterner::Interned> found = interner.Find(plan.get());
+    ASSERT_TRUE(found.has_value());
+    cid = found->cid;
+    auto rel = std::make_shared<const Relation>(
+        Relation(Schema({{"x", ValueType::kInt}})));
+    cache.Insert(cid, found->id, {{1, 0}}, rel, std::move(found->node));
+  }
+  // Only the cache holds the plan now: a structurally equal plan finds the
+  // same node, so its cid still keys the cached result.
+  ExprRef again = interner.Intern(SelGt("x", 3, Expr::Base("R")));
+  EXPECT_EQ(interner.CidOf(again.get()), cid);
+  again.reset();
+  cache.Clear();
+  EXPECT_EQ(interner.size(), 0u);
 }
 
 }  // namespace

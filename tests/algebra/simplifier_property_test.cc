@@ -19,11 +19,47 @@ namespace {
 using ::dwc::testing::CatalogShape;
 using ::dwc::testing::MakeCatalog;
 
+std::vector<std::string> NamesOf(const Schema& schema) {
+  std::vector<std::string> names;
+  for (const Attribute& attr : schema.attributes()) {
+    names.push_back(attr.name);
+  }
+  return names;
+}
+
+// π_A(e1 ∪ e2) or π_A(e1 − e2) for two expressions over the attributes of
+// `schema`: e2 lists its columns in reverse order, and A is a random
+// non-empty subset of the columns in random order. The projection may be
+// pushed through the union but never through the difference.
+ExprRef ProjectOverSetOp(ExprRef e1, ExprRef e2, const Schema& schema,
+                         Rng* rng) {
+  std::vector<std::string> names = NamesOf(schema);
+  std::vector<std::string> reversed(names.rbegin(), names.rend());
+  std::vector<std::string> kept;
+  for (const std::string& name : names) {
+    if (rng->Chance(0.5)) {
+      kept.push_back(name);
+    }
+  }
+  if (kept.empty()) {
+    kept.push_back(names[rng->Below(names.size())]);
+  }
+  for (size_t i = kept.size(); i > 1; --i) {
+    std::swap(kept[i - 1], kept[rng->Below(i)]);
+  }
+  ExprRef reordered = Expr::Project(reversed, std::move(e2));
+  return Expr::Project(
+      kept, rng->Chance(0.5) ? Expr::Union(std::move(e1), std::move(reordered))
+                             : Expr::Difference(std::move(e1),
+                                                std::move(reordered)));
+}
+
 // Wraps random expressions with constructs the simplifier targets, so the
 // rules actually fire: empty operands, trivial selections, stacked
-// projections, self-unions.
+// projections, self-unions, a projection over a union whose operands list
+// their columns in different orders.
 ExprRef Decorate(ExprRef expr, const Schema& schema, Rng* rng) {
-  switch (rng->Below(6)) {
+  switch (rng->Below(7)) {
     case 0:
       return Expr::Select(Predicate::True(), expr);
     case 1:
@@ -39,6 +75,13 @@ ExprRef Decorate(ExprRef expr, const Schema& schema, Rng* rng) {
     }
     case 4:
       return Expr::Union(expr, expr);
+    case 5: {
+      // Keeps the schema: π over (reversed e ∪ e) in e's own order.
+      std::vector<std::string> names = NamesOf(schema);
+      std::vector<std::string> reversed(names.rbegin(), names.rend());
+      return Expr::Project(names,
+                           Expr::Union(Expr::Project(reversed, expr), expr));
+    }
     default:
       return expr;
   }
@@ -64,6 +107,23 @@ TEST_P(SimplifierPropertyTest, SimplifiedExpressionIsEquivalent) {
       }
       ExprRef expr = Decorate(*base_expr, *schema, &rng);
       expr = Decorate(expr, *schema, &rng);
+      if (rng.Chance(0.4)) {
+        // π_A(e1 ∪ e2) or π_A(e1 − e2), with a second random query of the
+        // same attributes as e2 when one turns up, else e1 again.
+        ExprRef other = *base_expr;
+        for (int attempt = 0; attempt < 10; ++attempt) {
+          Result<ExprRef> candidate = GenerateRandomQuery(*catalog, &rng);
+          if (!candidate.ok()) {
+            continue;
+          }
+          Result<Schema> candidate_schema = InferSchema(**candidate, resolver);
+          if (candidate_schema.ok() && candidate_schema->SameAttrsAs(*schema)) {
+            other = *candidate;
+            break;
+          }
+        }
+        expr = ProjectOverSetOp(expr, other, *schema, &rng);
+      }
 
       ExprRef simplified = Simplify(expr, &resolver);
       Result<Relation> before = EvalExpr(*expr, env);

@@ -7,6 +7,7 @@
 #include "core/warehouse_spec.h"
 #include "parser/parser.h"
 #include "testing/test_util.h"
+#include "util/string_util.h"
 #include "warehouse/warehouse.h"
 
 namespace dwc {
@@ -128,6 +129,72 @@ TEST_F(QueryTranslationTest, CommutesAfterUpdates) {
   Result<Relation> direct = EvalExpr(**query, source_env);
   DWC_ASSERT_OK(direct);
   EXPECT_TRUE(testing::RelationsEqual(*via_warehouse, *direct));
+}
+
+// True when some projection in `expr` sits directly over a union.
+bool ProjectsOverUnion(const Expr& expr) {
+  if (expr.kind() == Expr::Kind::kProject &&
+      expr.child()->kind() == Expr::Kind::kUnion) {
+    return true;
+  }
+  return (expr.left() != nullptr && ProjectsOverUnion(*expr.left())) ||
+         (expr.right() != nullptr && ProjectsOverUnion(*expr.right()));
+}
+
+TEST_F(QueryTranslationTest, ProjectionsArePushedThroughInverseUnions) {
+  // Emp's inverse is C_Emp ∪ π[clerk,age](Sold): a projection of Emp
+  // becomes a union of projections, and π[clerk] over π[clerk,age]
+  // collapses, so no operand of the union is built whole.
+  for (const char* text :
+       {"project[clerk](Emp) minus project[clerk](Sale)",
+        "project[clerk](Sale) union project[clerk](Emp)",
+        "project[age](Emp)"}) {
+    Result<ExprRef> query = ParseExpr(text);
+    DWC_ASSERT_OK(query);
+    Result<ExprRef> raw = TranslateQueryRaw(*query, *spec_);
+    DWC_ASSERT_OK(raw);
+    EXPECT_TRUE(ProjectsOverUnion(**raw)) << text;
+    Result<ExprRef> translated = TranslateQuery(*query, *spec_);
+    DWC_ASSERT_OK(translated);
+    EXPECT_FALSE(ProjectsOverUnion(**translated)) << (*translated)->ToString();
+    ExpectCommutes(text);
+  }
+}
+
+TEST_F(QueryTranslationTest, AnswerQueryEvaluatesTheTranslatedPlan) {
+  // TranslateQuery and AnswerQuery share one translation pipeline: for a
+  // query with no aggregate view both yield the same interned node.
+  for (const char* text :
+       {"project[clerk](Sale) union project[clerk](Emp)",
+        "project[clerk](Emp) minus project[clerk](Sale)",
+        "project[age](select[item = 'VCR'](Sale) join Emp)",
+        "Sale join Emp"}) {
+    Result<ExprRef> query = ParseExpr(text);
+    DWC_ASSERT_OK(query);
+    Result<ExprRef> translated = TranslateQuery(*query, *spec_);
+    DWC_ASSERT_OK(translated);
+    Result<ExprRef> planned =
+        warehouse_->PlanQueryAt(warehouse_->PinSnapshot(), *query);
+    DWC_ASSERT_OK(planned);
+    EXPECT_EQ(planned->get(), translated->get()) << text;
+  }
+}
+
+TEST_F(QueryTranslationTest, OneOffQueriesDoNotGrowTheInterner) {
+  // Every translated plan is interned; once its caller drops it, its
+  // entries go too. With the cache off nothing else holds a plan.
+  ASSERT_EQ(warehouse_->subplan_cache().budget(), 0u);
+  const size_t loaded = spec_->interner()->size();
+  for (int64_t k = 0; k < 8000; ++k) {
+    ExprRef query = Expr::Project(
+        {"age"},
+        Expr::Join(Expr::Select(Predicate::AttrEq(
+                                    "item", Value::String(StrCat("item", k))),
+                                Expr::Base("Sale")),
+                   Expr::Base("Emp")));
+    DWC_ASSERT_OK(warehouse_->AnswerQuery(query));
+  }
+  EXPECT_LE(spec_->interner()->size(), loaded + 4);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 namespace dwc {
 namespace {
 
+using ::dwc::testing::D;
 using ::dwc::testing::I;
 using ::dwc::testing::S;
 using ::dwc::testing::T;
@@ -238,6 +239,69 @@ TEST(RelationTest, UidsAreFreshPerObjectAndStableAcrossMutations) {
   const uint64_t a_version = a.version();
   Relation moved = std::move(a);
   EXPECT_GT(a.version(), a_version);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(ProjectedRefTest, HashesAndComparesLikeTheProjectedTuple) {
+  // Every value kind, plus an int and a double that Value::operator==
+  // equates (and Value::Hash hashes alike).
+  const Tuple tuple = T({I(3), D(2.5), S("x"), Value::Null(), D(3.0)});
+  const std::vector<std::vector<size_t>> projections = {
+      {}, {0}, {1}, {2}, {3}, {4}, {2, 0}, {4, 3, 2, 1, 0}, {0, 0}};
+  for (const std::vector<size_t>& indices : projections) {
+    ProjectedRef ref(tuple, indices);
+    Tuple projected = tuple.Project(indices);
+    EXPECT_EQ(ref.Hash(), projected.Hash());
+    EXPECT_EQ(TupleHash()(ref), TupleHash()(projected));
+    EXPECT_EQ(ref.ToTuple(), projected);
+    EXPECT_EQ(ref.ToTuple().Hash(), Tuple(projected.values()).Hash());
+    EXPECT_TRUE(TupleEq()(ref, projected));
+    EXPECT_TRUE(TupleEq()(projected, ref));
+  }
+  // TupleEq agrees with Tuple::operator== on matches and misses alike.
+  const std::vector<Tuple> others = {T({I(3)}), T({D(3.0)}), T({I(4)}),
+                                     T({S("x")}), T({Value::Null()}),
+                                     T({I(3), I(3)}), T({})};
+  for (size_t column = 0; column < tuple.size(); ++column) {
+    std::vector<size_t> indices = {column};
+    ProjectedRef ref(tuple, indices);
+    for (const Tuple& other : others) {
+      const bool equal = tuple.Project(indices) == other;
+      EXPECT_EQ(TupleEq()(ref, other), equal) << column << " vs "
+                                              << other.ToString();
+      EXPECT_EQ(TupleEq()(other, ref), equal);
+      if (equal) {
+        EXPECT_EQ(ref.Hash(), other.Hash());
+      }
+    }
+  }
+  // The int 3 and the double 3.0 are one key.
+  std::vector<size_t> int_column = {0};
+  std::vector<size_t> double_column = {4};
+  EXPECT_TRUE(TupleEq()(ProjectedRef(tuple, int_column), T({D(3.0)})));
+  EXPECT_EQ(ProjectedRef(tuple, int_column).Hash(),
+            ProjectedRef(tuple, double_column).Hash());
+}
+
+TEST(ProjectedRefTest, ProbesSetsAndIndexesWithoutAKeyTuple) {
+  Relation rel(AbSchema());
+  rel.Insert(T({I(1), S("x")}));
+  rel.Insert(T({I(2), S("x")}));
+  rel.Insert(T({I(3), S("y")}));
+  const Relation::Index& index = rel.GetIndex({"b"});
+  const Tuple probe = T({S("q"), S("x"), I(1)});
+  std::vector<size_t> b_at = {1};
+  auto bucket = index.find(ProjectedRef(probe, b_at));
+  ASSERT_NE(bucket, index.end());
+  EXPECT_EQ(bucket->second.size(), 2u);
+  std::vector<size_t> ab_at = {2, 1};
+  EXPECT_TRUE(rel.Contains(ProjectedRef(probe, ab_at)));
+  std::vector<size_t> ba_at = {1, 2};
+  EXPECT_FALSE(rel.Contains(ProjectedRef(probe, ba_at)));
+  // Index upkeep on Insert/Erase probes the same way.
+  rel.Erase(T({I(1), S("x")}));
+  rel.Insert(T({I(4), S("z")}));
+  EXPECT_EQ(index.find(T({S("x")}))->second.size(), 1u);
+  EXPECT_EQ(index.find(T({S("z")}))->second.size(), 1u);
 }
 
 }  // namespace
