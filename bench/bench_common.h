@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/warehouse_spec.h"
@@ -108,7 +109,8 @@ struct ScaledFigure1 {
 //
 // Benchmarks with their own main() accept `--json` and then write a
 // machine-readable BENCH_<name>.json next to the binary (one row per
-// configuration: ops/sec, p50/p99 latency, thread count, extra counters).
+// configuration: ops/sec, p50/p99 latency, thread count, the machine's
+// hardware threads, extra counters).
 // CI and EXPERIMENTS.md plots consume these artifacts.
 
 // True when `--json` appears among the arguments.
@@ -186,11 +188,14 @@ inline void WriteBenchJson(const std::string& bench_name,
     std::cerr << "cannot write " << path << "\n";
     std::abort();
   }
+  // The machine's hardware threads, so a row read later says what it ran on.
+  unsigned hw_threads = std::thread::hardware_concurrency();
   out << "{\n  \"benchmark\": \"" << bench_name << "\",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& row = rows[i];
     out << "    {\"name\": \"" << row.name << "\", \"threads\": "
-        << row.threads << ", \"ops_per_sec\": " << row.latency.ops_per_sec
+        << row.threads << ", \"hw_threads\": " << hw_threads
+        << ", \"ops_per_sec\": " << row.latency.ops_per_sec
         << ", \"p50_us\": " << row.latency.p50_us
         << ", \"p99_us\": " << row.latency.p99_us;
     for (const auto& [key, value] : row.counters) {

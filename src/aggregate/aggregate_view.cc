@@ -88,31 +88,9 @@ void AggregateView::CopyFrom(const AggregateView& other) {
   groups_ = other.groups_;
 }
 
-Result<std::vector<size_t>> AggregateView::GroupIndices(
-    const Schema& schema) const {
-  return schema.IndicesOf(def_.group_by);
-}
-
-Result<std::vector<size_t>> AggregateView::AggIndices(
-    const Schema& schema) const {
-  std::vector<size_t> indices;
-  indices.reserve(def_.aggregates.size());
-  for (const AggSpec& spec : def_.aggregates) {
-    if (spec.func == AggFunc::kCount) {
-      indices.push_back(static_cast<size_t>(-1));
-      continue;
-    }
-    std::optional<size_t> idx = schema.IndexOf(spec.attr);
-    if (!idx.has_value()) {
-      return Status::Internal(
-          StrCat("aggregate attribute '", spec.attr, "' missing"));
-    }
-    indices.push_back(*idx);
-  }
-  return indices;
-}
-
 namespace {
+
+using ValueCounts = std::map<Value, int64_t>;
 
 Value AddValues(const Value& a, const Value& b) {
   if (a.type() == ValueType::kInt && b.type() == ValueType::kInt) {
@@ -132,6 +110,46 @@ Value ZeroOf(ValueType type) {
   return type == ValueType::kDouble ? Value::Double(0) : Value::Int(0);
 }
 
+int64_t CountOf(const ValueCounts& counts, const Value& value) {
+  auto it = counts.find(value);
+  return it == counts.end() ? 0 : it->second;
+}
+
+// The first value in [begin, end) whose count stays positive once
+// `changes` are added to `counts`; null when there is none. Every value it
+// skips has a negative change, so the walk is bounded by |changes|.
+template <typename It>
+const Value* FirstCounted(It begin, It end, const ValueCounts& counts,
+                          const ValueCounts& changes) {
+  for (It it = begin; it != end; ++it) {
+    if (CountOf(counts, it->first) + CountOf(changes, it->first) > 0) {
+      return &it->first;
+    }
+  }
+  return nullptr;
+}
+
+// MIN (`max` false) or MAX of the values counted in `counts` + `changes`;
+// NULL when no value is. On a tie the value already in `counts` wins, as it
+// does when the changes are merged into the map.
+Value Extremum(const ValueCounts& counts, const ValueCounts& changes,
+               bool max) {
+  const Value* old_best =
+      max ? FirstCounted(counts.rbegin(), counts.rend(), counts, changes)
+          : FirstCounted(counts.begin(), counts.end(), counts, changes);
+  const Value* new_best =
+      max ? FirstCounted(changes.rbegin(), changes.rend(), counts, changes)
+          : FirstCounted(changes.begin(), changes.end(), counts, changes);
+  if (old_best == nullptr) {
+    return new_best == nullptr ? Value::Null() : *new_best;
+  }
+  if (new_best == nullptr) {
+    return *old_best;
+  }
+  bool new_wins = max ? *old_best < *new_best : *new_best < *old_best;
+  return new_wins ? *new_best : *old_best;
+}
+
 }  // namespace
 
 Status AggregateView::Initialize(const Environment& env) {
@@ -140,184 +158,182 @@ Status AggregateView::Initialize(const Environment& env) {
   // the previous table.
   materialized_ = std::make_shared<Relation>(materialized_->schema());
   Evaluator evaluator(&env);
-  Result<std::shared_ptr<const Relation>> source = evaluator.Eval(*def_.source);
-  if (!source.ok()) {
-    return source.status();
-  }
-  const Schema& schema = (*source)->schema();
-  for (const Tuple& tuple : (*source)->tuples()) {
-    DWC_RETURN_IF_ERROR(FoldInsert(tuple, schema));
-  }
-  for (const auto& [group, state] : groups_) {
-    (void)state;
-    EmitRow(group);
-  }
+  DWC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> source,
+                       evaluator.Eval(*def_.source));
+  DWC_ASSIGN_OR_RETURN(Folded folded,
+                       Fold(*source, Relation(source->schema())));
+  Install(std::move(folded));
   return Status::Ok();
 }
 
-Status AggregateView::FoldInsert(const Tuple& tuple, const Schema& schema) {
-  DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx, GroupIndices(schema));
-  DWC_ASSIGN_OR_RETURN(std::vector<size_t> agg_idx, AggIndices(schema));
-  ProjectedRef group(tuple, group_idx);
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
-    it = groups_.emplace(group.ToTuple(), GroupState()).first;
+Status AggregateView::Accumulate(const Relation& delta, int sign,
+                                 GroupChanges* changes) const {
+  if (delta.empty()) {
+    return Status::Ok();
   }
-  GroupState& state = it->second;
-  if (state.count == 0 && state.accums.empty()) {
-    // Fresh group: neutral accumulators.
-    for (size_t i = 0; i < def_.aggregates.size(); ++i) {
-      const AggSpec& spec = def_.aggregates[i];
-      if (spec.func == AggFunc::kSum) {
-        std::optional<size_t> idx = source_schema_.IndexOf(spec.attr);
-        state.accums.push_back(
-            ZeroOf(source_schema_.attribute(*idx).type));
-      } else {
-        state.accums.push_back(Value::Null());
-      }
-    }
-  }
-  ++state.count;
+  const Schema& schema = delta.schema();
+  DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
+                       schema.IndicesOf(def_.group_by));
+  std::vector<size_t> agg_idx(def_.aggregates.size(), 0);
   for (size_t i = 0; i < def_.aggregates.size(); ++i) {
     const AggSpec& spec = def_.aggregates[i];
-    switch (spec.func) {
-      case AggFunc::kCount:
-        break;  // Derived from state.count.
-      case AggFunc::kSum: {
-        const Value& v = tuple.at(agg_idx[i]);
+    if (spec.func == AggFunc::kCount) {
+      continue;
+    }
+    std::optional<size_t> idx = schema.IndexOf(spec.attr);
+    if (!idx.has_value()) {
+      return Status::Internal(
+          StrCat("aggregate attribute '", spec.attr, "' missing"));
+    }
+    agg_idx[i] = *idx;
+  }
+  for (const Tuple& tuple : delta.tuples()) {
+    ProjectedRef group(tuple, group_idx);
+    auto it = changes->find(group);
+    if (it == changes->end()) {
+      GroupChange change;
+      change.value_changes.resize(def_.aggregates.size());
+      auto state = groups_.find(group);
+      if (state != groups_.end()) {
+        change.count = state->second.count;
+        change.sums = state->second.sums;
+      } else if (sign < 0) {
+        return Status::Internal(
+            StrCat("delete for unknown group ", group.ToTuple().ToString(),
+                   " in aggregate '", def_.name, "'"));
+      } else {
+        // Fresh group: neutral SUMs.
+        for (const AggSpec& spec : def_.aggregates) {
+          if (spec.func != AggFunc::kSum) {
+            change.sums.push_back(Value::Null());
+            continue;
+          }
+          size_t idx = *source_schema_.IndexOf(spec.attr);
+          change.sums.push_back(ZeroOf(source_schema_.attribute(idx).type));
+        }
+      }
+      it = changes->emplace(group.ToTuple(), std::move(change)).first;
+    }
+    GroupChange& change = it->second;
+    change.count += sign;
+    for (size_t i = 0; i < def_.aggregates.size(); ++i) {
+      AggFunc func = def_.aggregates[i].func;
+      if (func == AggFunc::kCount) {
+        continue;  // Derived from the support count.
+      }
+      const Value& v = tuple.at(agg_idx[i]);
+      if (func == AggFunc::kSum) {
         if (v.is_null()) {
           return Status::InvalidArgument("SUM over NULL value");
         }
-        state.accums[i] = AddValues(state.accums[i], v);
-        break;
-      }
-      case AggFunc::kMin: {
-        const Value& v = tuple.at(agg_idx[i]);
-        if (state.accums[i].is_null() || v < state.accums[i]) {
-          state.accums[i] = v;
-        }
-        break;
-      }
-      case AggFunc::kMax: {
-        const Value& v = tuple.at(agg_idx[i]);
-        if (state.accums[i].is_null() || state.accums[i] < v) {
-          state.accums[i] = v;
-        }
-        break;
+        change.sums[i] = sign > 0 ? AddValues(change.sums[i], v)
+                                  : SubValues(change.sums[i], v);
+      } else if (!v.is_null()) {
+        change.value_changes[i][v] += sign;
       }
     }
   }
   return Status::Ok();
 }
 
-Status AggregateView::FoldDelete(const Tuple& tuple, const Schema& schema) {
-  DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx, GroupIndices(schema));
-  DWC_ASSIGN_OR_RETURN(std::vector<size_t> agg_idx, AggIndices(schema));
-  auto it = groups_.find(ProjectedRef(tuple, group_idx));
-  if (it == groups_.end()) {
-    return Status::Internal(
-        StrCat("delete for unknown group ",
-               tuple.Project(group_idx).ToString(),
-               " in aggregate '", def_.name, "'"));
-  }
-  GroupState& state = it->second;
-  --state.count;
+Tuple AggregateView::MakeRow(
+    const Tuple& group, int64_t count, const std::vector<Value>& sums,
+    const std::vector<ValueCounts>& values,
+    const std::vector<ValueCounts>* changes) const {
+  static const ValueCounts kNoChanges;
+  std::vector<Value> row = group.values();
+  row.reserve(row.size() + def_.aggregates.size());
   for (size_t i = 0; i < def_.aggregates.size(); ++i) {
-    const AggSpec& spec = def_.aggregates[i];
-    switch (spec.func) {
+    switch (def_.aggregates[i].func) {
       case AggFunc::kCount:
+        row.push_back(Value::Int(count));
         break;
       case AggFunc::kSum:
-        state.accums[i] = SubValues(state.accums[i], tuple.at(agg_idx[i]));
+        row.push_back(sums[i]);
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
-        // Deleting the current extremum invalidates the accumulator.
-        if (tuple.at(agg_idx[i]) == state.accums[i]) {
-          state.dirty = true;
-        }
+        row.push_back(Extremum(values[i],
+                               changes == nullptr ? kNoChanges : (*changes)[i],
+                               def_.aggregates[i].func == AggFunc::kMax));
         break;
     }
   }
-  return Status::Ok();
+  return Tuple(std::move(row));
 }
 
-Status AggregateView::RecomputeGroup(const Tuple& group,
-                                     const Environment& env) {
-  // sigma_{group_by = group}(source), evaluated on the new state; the
-  // evaluator's filter pushdown makes this an index probe on fact views.
-  PredicateRef predicate = Predicate::True();
-  for (size_t i = 0; i < def_.group_by.size(); ++i) {
-    predicate = Predicate::And(
-        predicate, Predicate::AttrEq(def_.group_by[i], group.at(i)));
+Result<AggregateView::Folded> AggregateView::Fold(const Relation& plus,
+                                                  const Relation& minus) const {
+  Folded folded;
+  // Deletes first: a delete must find its group in the current state.
+  DWC_RETURN_IF_ERROR(Accumulate(minus, -1, &folded.groups));
+  DWC_RETURN_IF_ERROR(Accumulate(plus, +1, &folded.groups));
+  folded.table = std::make_shared<Relation>(*materialized_);
+  const std::vector<ValueCounts> no_values(def_.aggregates.size());
+  for (const auto& [group, change] : folded.groups) {
+    auto state = groups_.find(group);
+    const std::vector<ValueCounts>& values =
+        state == groups_.end() ? no_values : state->second.values;
+    if (change.count < 0) {
+      return Status::Internal(StrCat("more deletes than rows in group ",
+                                     group.ToString(), " of aggregate '",
+                                     def_.name, "'"));
+    }
+    for (size_t i = 0; i < def_.aggregates.size(); ++i) {
+      for (const auto& [value, delta] : change.value_changes[i]) {
+        if (CountOf(values[i], value) + delta < 0) {
+          const AggSpec& spec = def_.aggregates[i];
+          return Status::Internal(StrCat(
+              "delete of ", AggFuncName(spec.func), "(", spec.attr,
+              ") value ", value.ToString(), " never folded into group ",
+              group.ToString(), " of aggregate '", def_.name, "'"));
+        }
+      }
+    }
+    if (state != groups_.end()) {
+      folded.table->Erase(MakeRow(group, state->second.count,
+                                  state->second.sums, values, nullptr));
+    }
+    if (change.count > 0) {
+      folded.table->Insert(MakeRow(group, change.count, change.sums, values,
+                                   &change.value_changes));
+    }
   }
-  ExprRef expr = Expr::Select(std::move(predicate), def_.source);
-  Evaluator evaluator(&env);
-  Result<std::shared_ptr<const Relation>> rows = evaluator.Eval(*expr);
-  if (!rows.ok()) {
-    return rows.status();
-  }
-  GroupState& state = groups_[group];
-  state.count = 0;
-  state.accums.clear();
-  state.dirty = false;
-  for (const Tuple& tuple : (*rows)->tuples()) {
-    DWC_RETURN_IF_ERROR(FoldInsert(tuple, (*rows)->schema()));
-  }
-  return Status::Ok();
+  return folded;
 }
 
-void AggregateView::EmitRow(const Tuple& group) {
-  // Drop any stale row for this group, then write the fresh one.
-  const Relation::Index& index = materialized_->GetIndex(def_.group_by);
-  auto bucket = index.find(group);
-  if (bucket != index.end() && !bucket->second.empty()) {
-    // Copy first: Erase invalidates the bucket.
-    Tuple stale = *bucket->second.front();
-    materialized_->Erase(stale);
-  }
-  auto it = groups_.find(group);
-  if (it == groups_.end() || it->second.count <= 0) {
-    groups_.erase(group);
-    return;
-  }
-  std::vector<Value> row = group.values();
-  for (size_t i = 0; i < def_.aggregates.size(); ++i) {
-    if (def_.aggregates[i].func == AggFunc::kCount) {
-      row.push_back(Value::Int(it->second.count));
-    } else {
-      row.push_back(it->second.accums[i]);
+void AggregateView::Install(Folded folded) {
+  for (auto& [group, change] : folded.groups) {
+    if (change.count == 0) {
+      groups_.erase(group);
+      continue;
+    }
+    auto [it, fresh] = groups_.try_emplace(group);
+    GroupState& state = it->second;
+    state.count = change.count;
+    state.sums = std::move(change.sums);
+    if (fresh) {
+      // Only inserts touched a fresh group: every change is a count.
+      state.values = std::move(change.value_changes);
+      continue;
+    }
+    for (size_t i = 0; i < def_.aggregates.size(); ++i) {
+      for (const auto& [value, delta] : change.value_changes[i]) {
+        auto [pos, added] = state.values[i].try_emplace(value, 0);
+        (void)added;
+        pos->second += delta;
+        if (pos->second == 0) {
+          state.values[i].erase(pos);
+        }
+      }
     }
   }
-  materialized_->Insert(Tuple(std::move(row)));
+  materialized_ = std::move(folded.table);
 }
 
-Status AggregateView::ApplyDelta(const Relation& plus, const Relation& minus,
-                                 const Environment& new_env) {
-  std::set<Tuple> touched;
-  {
-    DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
-                         GroupIndices(minus.schema()));
-    for (const Tuple& tuple : minus.tuples()) {
-      DWC_RETURN_IF_ERROR(FoldDelete(tuple, minus.schema()));
-      touched.insert(tuple.Project(group_idx));
-    }
-  }
-  {
-    DWC_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
-                         GroupIndices(plus.schema()));
-    for (const Tuple& tuple : plus.tuples()) {
-      DWC_RETURN_IF_ERROR(FoldInsert(tuple, plus.schema()));
-      touched.insert(tuple.Project(group_idx));
-    }
-  }
-  for (const Tuple& group : touched) {
-    auto it = groups_.find(group);
-    if (it != groups_.end() && it->second.dirty && it->second.count > 0) {
-      DWC_RETURN_IF_ERROR(RecomputeGroup(group, new_env));
-    }
-    EmitRow(group);
-  }
+Status AggregateView::ApplyDelta(const Relation& plus, const Relation& minus) {
+  DWC_ASSIGN_OR_RETURN(Folded folded, Fold(plus, minus));
+  Install(std::move(folded));
   return Status::Ok();
 }
 

@@ -1,9 +1,10 @@
 #ifndef DWC_AGGREGATE_AGGREGATE_VIEW_H_
 #define DWC_AGGREGATE_AGGREGATE_VIEW_H_
 
-#include <unordered_map>
+#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/environment.h"
@@ -47,14 +48,25 @@ struct AggregateViewDef {
 };
 
 // A materialized summary table maintained incrementally from exact deltas
-// of its source expression (set semantics):
-//   * COUNT and SUM fold insertions and deletions directly;
-//   * MIN/MAX fold insertions; a deletion of the current extremum marks the
-//     group dirty and the group is re-aggregated from the source (evaluated
-//     against the *new* warehouse state — the classic summary-delta
-//     treatment of non-self-maintainable aggregates).
+// of its source expression (set semantics). COUNT and SUM fold insertions
+// and deletions directly. MIN/MAX stay exact through value counts: each
+// MIN/MAX spec keeps, per group, how many source tuples carry each non-NULL
+// value, and the row reads the least (MIN) or greatest (MAX) value still
+// counted — so a deleted extremum never sends the fold back to the source.
+// The price is one map entry per distinct (group, value) per MIN/MAX spec.
+// NULLs are not counted: MIN/MAX over a group holding only NULLs is NULL.
 // Groups whose support count reaches zero disappear.
 class AggregateView {
+  // One touched group's fold: its new support count and SUMs, and per
+  // MIN/MAX spec the net change of each value's count.
+  struct GroupChange {
+    int64_t count = 0;
+    std::vector<Value> sums;
+    std::vector<std::map<Value, int64_t>> value_changes;
+  };
+  using GroupChanges =
+      std::unordered_map<Tuple, GroupChange, TupleHash, TupleEq>;
+
  public:
   // Validates the definition against `resolver` (which must know all
   // relation names `source` uses) and derives the output schema:
@@ -65,8 +77,7 @@ class AggregateView {
   // The materialized table lives behind a shared slot so the warehouse's
   // epoch snapshots can keep an old version alive after the view moves on
   // (warehouse/epoch.h). Copying a view deep-copies the table — a copy
-  // never aliases storage with the original, which is what makes
-  // copy-then-swap folding safe.
+  // never aliases storage with the original.
   AggregateView(const AggregateView& other) { CopyFrom(other); }
   AggregateView& operator=(const AggregateView& other) {
     if (this != &other) {
@@ -89,33 +100,50 @@ class AggregateView {
   // untouched.
   Status Initialize(const Environment& env);
 
-  // Folds an exact source delta. `plus`/`minus` carry the source schema
-  // (any column order). `new_env` must reflect the source's *post-update*
-  // state; it is consulted only to re-aggregate dirty MIN/MAX groups.
-  Status ApplyDelta(const Relation& plus, const Relation& minus,
-                    const Environment& new_env);
+  // One delta folded but not yet installed (see Fold).
+  class Folded {
+   private:
+    friend class AggregateView;
+    GroupChanges groups;
+    std::shared_ptr<Relation> table;
+  };
+
+  // Folds an exact source delta without touching the view: `plus`/`minus`
+  // carry the source schema (any column order). Costs O(|delta| log) plus
+  // one copy of the summary table, which the result carries with every
+  // touched row rewritten. Fails — leaving the view as it was — on a SUM
+  // over NULL (InvalidArgument) or on a delete of a group or MIN/MAX value
+  // the view never folded (Internal).
+  Result<Folded> Fold(const Relation& plus, const Relation& minus) const;
+  // Installs a fold of this view's current state: swaps in the new table
+  // (snapshots keep the old one) and merges the touched groups. Infallible.
+  void Install(Folded folded);
+  // Fold, then Install.
+  Status ApplyDelta(const Relation& plus, const Relation& minus);
 
  private:
   struct GroupState {
-    int64_t count = 0;          // Support: source tuples in the group.
-    std::vector<Value> accums;  // One per aggregate spec.
-    bool dirty = false;         // MIN/MAX needs re-aggregation.
+    int64_t count = 0;  // Support: source tuples in the group.
+    // Per spec; only SUM specs' entries are used.
+    std::vector<Value> sums;
+    // Per spec; only MIN/MAX specs' maps are used: count of each value.
+    std::vector<std::map<Value, int64_t>> values;
   };
 
   AggregateView() : materialized_(std::make_shared<Relation>()) {}
 
   void CopyFrom(const AggregateView& other);
 
-  Status FoldInsert(const Tuple& tuple, const Schema& schema);
-  Status FoldDelete(const Tuple& tuple, const Schema& schema);
-  // Recomputes one group from the source (new state).
-  Status RecomputeGroup(const Tuple& group, const Environment& env);
-  // Writes the materialized row of `group` (erasing any stale row first).
-  void EmitRow(const Tuple& group);
-  // Positions of group-by / aggregate attrs in `schema` (cached per call
-  // site since plus/minus may arrive in any column order).
-  Result<std::vector<size_t>> GroupIndices(const Schema& schema) const;
-  Result<std::vector<size_t>> AggIndices(const Schema& schema) const;
+  // Folds every tuple of `delta` (+1 per tuple for plus, -1 for minus) into
+  // `changes`, starting each newly touched group from its current state.
+  Status Accumulate(const Relation& delta, int sign,
+                    GroupChanges* changes) const;
+  // The materialized row of `group`: its values, then one per spec.
+  // `changes` (may be null) are added to the MIN/MAX value counts first.
+  Tuple MakeRow(const Tuple& group, int64_t count,
+                const std::vector<Value>& sums,
+                const std::vector<std::map<Value, int64_t>>& values,
+                const std::vector<std::map<Value, int64_t>>* changes) const;
 
   AggregateViewDef def_;
   Schema source_schema_;

@@ -121,6 +121,9 @@ std::set<std::string> Expr::ReferencedNames() const {
 }
 
 bool Expr::Equals(const Expr& other) const {
+  if (this == &other) {
+    return true;
+  }
   if (kind_ != other.kind_) {
     return false;
   }

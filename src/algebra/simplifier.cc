@@ -21,8 +21,34 @@ std::optional<Schema> TrySchema(const ExprRef& expr,
   return std::move(schema).value();
 }
 
+// `chain` with every arm of its union chain that is Equals to an arm in
+// `seen`, or to an earlier arm of its own, dropped; kept arms are appended to
+// `seen`. Null when every arm drops. The chain keeps its shape otherwise.
+ExprRef DropSeenArms(const ExprRef& chain, std::vector<ExprRef>* seen) {
+  if (chain->kind() != Expr::Kind::kUnion) {
+    for (const ExprRef& arm : *seen) {
+      if (arm->Equals(*chain)) {
+        return nullptr;
+      }
+    }
+    seen->push_back(chain);
+    return chain;
+  }
+  ExprRef left = DropSeenArms(chain->left(), seen);
+  ExprRef right = DropSeenArms(chain->right(), seen);
+  if (left == nullptr || right == nullptr) {
+    return left == nullptr ? right : left;
+  }
+  if (left == chain->left() && right == chain->right()) {
+    return chain;
+  }
+  return Expr::Union(left, right);
+}
+
 // left ∪ right for already simplified operands. `expr` is the original
 // node, returned unchanged when no rule fires; null when there is none.
+// Under set semantics ∪ is idempotent, associative and commutative, so an
+// arm anywhere in the chain that repeats an earlier one drops.
 ExprRef SimplifyUnion(const ExprRef& expr, const ExprRef& left,
                       const ExprRef& right) {
   if (IsEmptyNode(left)) {
@@ -31,13 +57,17 @@ ExprRef SimplifyUnion(const ExprRef& expr, const ExprRef& left,
   if (IsEmptyNode(right)) {
     return left;
   }
-  if (left->Equals(*right)) {
-    return left;
+  std::vector<ExprRef> seen;
+  ExprRef kept_left = DropSeenArms(left, &seen);
+  ExprRef kept_right = DropSeenArms(right, &seen);
+  if (kept_right == nullptr) {
+    return kept_left;
   }
-  if (expr != nullptr && left == expr->left() && right == expr->right()) {
+  if (expr != nullptr && kept_left == expr->left() &&
+      kept_right == expr->right()) {
     return expr;
   }
-  return Expr::Union(left, right);
+  return Expr::Union(kept_left, kept_right);
 }
 
 // π[attrs](child) for an already simplified `child`; `expr` as above.

@@ -13,7 +13,9 @@ namespace dwc {
 //   project[A](e1 union e2) -> project[A](e1) union project[A](e2)
 //     (needs the union's schema; never over a difference)
 //   joins/unions/differences with the empty relation collapse
-//   union/difference of structurally equal operands collapse
+//   a union chain drops every arm structurally equal to an earlier arm
+//     (set semantics: union is idempotent, associative and commutative)
+//   difference of structurally equal operands collapses
 //   rename with an empty map vanishes
 //
 // Some rules need output schemas (e.g. `e join empty -> empty` must know the

@@ -88,6 +88,13 @@ Result<ScriptContext> RunScript(std::string_view script) {
     return it == view_schemas.end() ? nullptr : &it->second;
   };
 
+  // Running RelationDigest per relation a DELTA record has verified:
+  // seeded once from the relation, then kept current by XOR-ing in the
+  // TupleDigest of every effective insert and erase (the digest is an
+  // XOR-fold), so each record costs O(|delta|). A plain INSERT/DELETE drops
+  // its relation's entry; the next DELTA reseeds it.
+  std::map<std::string, uint64_t> running_digests;
+
   for (Statement& statement : statements) {
     if (auto* create = std::get_if<CreateTableStmt>(&statement)) {
       DWC_RETURN_IF_ERROR(
@@ -119,6 +126,7 @@ Result<ScriptContext> RunScript(std::string_view script) {
             CheckTupleAgainstSchema(tuple, rel->schema(), insert->relation));
         rel->Insert(std::move(tuple));
       }
+      running_digests.erase(insert->relation);
     } else if (auto* del = std::get_if<DeleteStmt>(&statement)) {
       Relation* rel = context.db.FindMutableRelation(del->relation);
       if (rel == nullptr) {
@@ -130,6 +138,7 @@ Result<ScriptContext> RunScript(std::string_view script) {
             CheckTupleAgainstSchema(tuple, rel->schema(), del->relation));
         rel->Erase(tuple);
       }
+      running_digests.erase(del->relation);
     } else if (auto* delta = std::get_if<DeltaStmt>(&statement)) {
       // Journal replay: re-apply the enveloped delta (deletes first, like
       // the integrator) and re-verify the piggybacked post-state digest —
@@ -140,23 +149,33 @@ Result<ScriptContext> RunScript(std::string_view script) {
         return Status::NotFound(
             StrCat("relation '", delta->relation, "' not declared"));
       }
+      auto [running, unseeded] =
+          running_digests.try_emplace(delta->relation, 0);
+      if (unseeded) {
+        running->second = RelationDigest(*rel);
+      }
+      uint64_t& digest = running->second;
       for (const Tuple& tuple : delta->deletes) {
         DWC_RETURN_IF_ERROR(
             CheckTupleAgainstSchema(tuple, rel->schema(), delta->relation));
-        rel->Erase(tuple);
+        if (rel->Erase(tuple)) {
+          digest ^= TupleDigest(tuple);
+        }
       }
       for (Tuple& tuple : delta->inserts) {
         DWC_RETURN_IF_ERROR(
             CheckTupleAgainstSchema(tuple, rel->schema(), delta->relation));
-        rel->Insert(std::move(tuple));
+        uint64_t tuple_digest = TupleDigest(tuple);
+        if (rel->Insert(std::move(tuple))) {
+          digest ^= tuple_digest;
+        }
       }
-      if (delta->sequence != 0 &&
-          RelationDigest(*rel) != delta->state_digest) {
+      if (delta->sequence != 0 && digest != delta->state_digest) {
         return Status::FailedPrecondition(
             StrCat("journal replay diverged: after DELTA ", delta->relation,
                    " seq ", delta->sequence, " (epoch ", delta->epoch,
                    " from '", delta->source_id, "') the relation digest is ",
-                   DigestToHex(RelationDigest(*rel)), ", journal says ",
+                   DigestToHex(digest), ", journal says ",
                    DigestToHex(delta->state_digest)));
       }
     } else if (auto* query = std::get_if<QueryStmt>(&statement)) {

@@ -325,14 +325,10 @@ Status Warehouse::ApplyPlanned(
   }
 
   // Summary tables: derive (and cache) the exact deltas of each aggregate's
-  // source expression with respect to the changed warehouse relations, and
-  // evaluate them against the old state before applying anything.
-  struct AggregatePending {
-    AggregateView* view;
-    Relation plus;
-    Relation minus;
-  };
-  std::vector<AggregatePending> aggregate_pending;
+  // source expression with respect to the changed warehouse relations,
+  // evaluate them against the old state and fold them. A fold reads only
+  // the view and the delta, so it too happens before anything is applied.
+  std::vector<std::pair<AggregateView*, AggregateView::Folded>> folded;
   if (!aggregates_.empty()) {
     std::set<std::string> changed;
     for (const Pending& p : pending) {
@@ -386,138 +382,52 @@ Status Warehouse::ApplyPlanned(
         if (!minus.ok()) {
           return minus.status();
         }
-        aggregate_pending.push_back(AggregatePending{
-            &view, std::move(plus).value(), std::move(minus).value()});
+        DWC_ASSIGN_OR_RETURN(AggregateView::Folded fold,
+                             view.Fold(*plus, *minus));
+        folded.emplace_back(&view, std::move(fold));
       }
     }
   }
 
-  // Commit phase. The epoch manager picks the path: with zero pinned
-  // snapshots the commit mutates relations in place while holding the
-  // commit lock — no reader can pin a half-mutated state, the relations
-  // keep their lazily built indexes, and the work stays O(|delta|). With
-  // readers in flight it clones every changed relation off to the side and
-  // swaps the slots at the end (copy-on-write), so every pinned version
-  // set stays frozen. Either way the new epoch publishes as the commit's
-  // final act: a failing HookStep() (simulated crash — returns without
-  // rollback, torn in-memory state discarded by the caller via checkpoint +
-  // journal recovery, persistence.h) or a genuine fold error (rolls back,
-  // "state unchanged" contract) never publishes, so concurrent readers
-  // keep the previous epoch — never a half-epoch.
-  //
-  // Aggregate folds go copy-then-swap on both paths: folding a deep copy
-  // and installing it only after every fold succeeded means a failed fold
-  // has nothing to restore — and never dirties a table object that a
-  // published epoch still references.
+  // Commit phase: nothing below can fail on the delta's account. The epoch
+  // manager picks the path: with zero pinned snapshots the commit mutates
+  // relations in place while holding the commit lock — no reader can pin a
+  // half-mutated state, the relations keep their lazily built indexes, and
+  // the work stays O(|delta|). With readers in flight it applies each delta
+  // to a clone and swaps the slots at the end (copy-on-write), so every
+  // pinned version set stays frozen. Aggregate folds install a fresh table
+  // on both paths. Either way the new epoch publishes as the commit's final
+  // act: a failing HookStep() (simulated crash — returns without rollback,
+  // torn in-memory state discarded by the caller via checkpoint + journal
+  // recovery, persistence.h) never publishes, so concurrent readers keep
+  // the previous epoch — never a half-epoch.
   EpochManager::Commit commit = epochs_->BeginCommit();
-  if (commit.in_place()) {
-    struct Undo {
-      Relation* target;
-      std::vector<Tuple> inserted;
-      std::vector<Tuple> erased;
-    };
-    std::vector<Undo> undo;
-    undo.reserve(pending.size());
-    auto rollback_relations = [&undo]() {
-      for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-        for (const Tuple& tuple : it->inserted) {
-          it->target->Erase(tuple);
-        }
-        for (const Tuple& tuple : it->erased) {
-          it->target->Insert(tuple);
-        }
-      }
-    };
-    for (Pending& p : pending) {
-      DWC_RETURN_IF_ERROR(HookStep());
-      Undo u{p.target, {}, {}};
-      // Apply deletions before insertions: the delta pair is exact, so the
-      // two sets are disjoint and order only matters for storage churn.
-      for (const Tuple& tuple : p.minus.tuples()) {
-        if (p.target->Erase(tuple)) {
-          u.erased.push_back(tuple);
-        }
-      }
-      for (const Tuple& tuple : p.plus.tuples()) {
-        if (p.target->Insert(tuple)) {
-          u.inserted.push_back(tuple);
-        }
-      }
-      undo.push_back(std::move(u));
-    }
-    // Fold aggregate deltas against the new state (MIN/MAX group recomputes
-    // read the updated fact views).
-    if (!aggregate_pending.empty()) {
-      Environment new_env = Env();
-      std::vector<std::pair<AggregateView*, AggregateView>> folded;
-      folded.reserve(aggregate_pending.size());
-      for (AggregatePending& p : aggregate_pending) {
-        DWC_RETURN_IF_ERROR(HookStep());
-        AggregateView tmp = *p.view;
-        Status status = tmp.ApplyDelta(p.plus, p.minus, new_env);
-        if (!status.ok()) {
-          rollback_relations();
-          return status;
-        }
-        folded.emplace_back(p.view, std::move(tmp));
-      }
-      for (auto& [view, tmp] : folded) {
-        *view = std::move(tmp);
-      }
-    }
-    // Final commit point: a crash here happens after all mutations but
-    // before the caller journals the delta, so recovery replays up to the
-    // previous refresh.
-    DWC_RETURN_IF_ERROR(HookStep());
-    commit.Publish(CurrentVersions());
-    TagIntegrateEpoch(epochs_->current_epoch());
-    return Status::Ok();
-  }
-
-  // Copy-on-write path: pinned readers exist, so published relations are
-  // immutable. All work happens off to the side with no lock held; only
-  // the slot swap + publish at the end synchronizes with readers (through
-  // the epoch manager). A failure anywhere before the installs leaves the
-  // live state byte-identical — there is nothing to roll back.
-  struct Swap {
-    std::string name;
-    std::shared_ptr<Relation> relation;
-  };
-  std::vector<Swap> swaps;
-  swaps.reserve(pending.size());
-  // Post-update environment for the aggregate folds: live state with every
-  // changed relation's binding overridden by its updated clone.
-  Environment cow_env = Env();
+  std::vector<std::pair<std::string, std::shared_ptr<Relation>>> swaps;
   for (Pending& p : pending) {
     DWC_RETURN_IF_ERROR(HookStep());
-    auto clone = std::make_shared<Relation>(*p.target);
+    Relation* target = p.target;
+    if (!commit.in_place()) {
+      swaps.emplace_back(p.relation, std::make_shared<Relation>(*p.target));
+      target = swaps.back().second.get();
+    }
+    // Deletions before insertions: the delta pair is exact, so the two sets
+    // are disjoint and order only matters for storage churn.
     for (const Tuple& tuple : p.minus.tuples()) {
-      clone->Erase(tuple);
+      target->Erase(tuple);
     }
     for (const Tuple& tuple : p.plus.tuples()) {
-      clone->Insert(tuple);
+      target->Insert(tuple);
     }
-    cow_env.Bind(p.relation, clone.get());
-    swaps.push_back(Swap{p.relation, std::move(clone)});
   }
-  std::vector<std::pair<AggregateView*, AggregateView>> folded;
-  folded.reserve(aggregate_pending.size());
-  for (AggregatePending& p : aggregate_pending) {
-    DWC_RETURN_IF_ERROR(HookStep());
-    AggregateView tmp = *p.view;
-    Status status = tmp.ApplyDelta(p.plus, p.minus, cow_env);
-    if (!status.ok()) {
-      return status;
-    }
-    folded.emplace_back(p.view, std::move(tmp));
-  }
+  // Final commit point: a crash here happens after all in-place mutations
+  // but before the caller journals the delta, so recovery replays up to the
+  // previous refresh.
   DWC_RETURN_IF_ERROR(HookStep());
-  for (Swap& swap : swaps) {
-    DWC_RETURN_IF_ERROR(
-        state_.ReplaceRelation(swap.name, std::move(swap.relation)));
+  for (auto& [name, relation] : swaps) {
+    DWC_RETURN_IF_ERROR(state_.ReplaceRelation(name, std::move(relation)));
   }
-  for (auto& [view, tmp] : folded) {
-    *view = std::move(tmp);
+  for (auto& [view, fold] : folded) {
+    view->Install(std::move(fold));
   }
   commit.Publish(CurrentVersions());
   TagIntegrateEpoch(epochs_->current_epoch());

@@ -276,8 +276,8 @@ class Warehouse {
     return integration_hook_ ? integration_hook_(hook_step_++) : Status::Ok();
   }
   // Shared incremental core: evaluates `per_relation_plan` against the old
-  // state with every delta bound, applies the results, then folds summary
-  // tables.
+  // state with every delta bound and folds the summary tables, then
+  // applies both in a commit that cannot fail on the delta's account.
   Status ApplyPlanned(const std::map<std::string, DeltaPair>& per_relation_plan,
                       const std::vector<const CanonicalDelta*>& deltas);
   // The EnforceCertificates() cross-check; Ok when no report is installed.

@@ -62,7 +62,7 @@ class AggregateUnitTest : public ::testing::Test {
       EXPECT_TRUE(rel_.Insert(tuple));
       plus_rel.Insert(std::move(tuple));
     }
-    DWC_ASSERT_OK(view_->ApplyDelta(plus_rel, minus_rel, env_));
+    DWC_ASSERT_OK(view_->ApplyDelta(plus_rel, minus_rel));
   }
 
   Tuple Row(const char* group) {
@@ -102,7 +102,7 @@ TEST_F(AggregateUnitTest, DeleteOfNonExtremumIsLocal) {
   EXPECT_EQ(Row("a"), T({S("a"), I(2), I(6), I(1), I(5)}));
 }
 
-TEST_F(AggregateUnitTest, DeleteOfExtremumRecomputesGroup) {
+TEST_F(AggregateUnitTest, DeleteOfExtremumFallsBackToNextCountedValue) {
   Apply({}, {T({S("a"), I(5)})});           // max deleted
   EXPECT_EQ(Row("a"), T({S("a"), I(1), I(1), I(1), I(1)}));
   Apply({}, {T({S("a"), I(1)})});           // group vanishes

@@ -166,5 +166,68 @@ TEST(SimplifierPropertyTest, SimplifyWithoutResolverIsAlsoSafe) {
   }
 }
 
+// Random union chains over a few same-attribute arms, with arms repeated,
+// reordered and nested at random: the simplified chain must evaluate equal
+// to the original and hold no arm twice.
+TEST(SimplifierPropertyTest, RepeatedUnionArmsDrop) {
+  Rng rng(6006);
+  for (CatalogShape shape : {CatalogShape::kChain, CatalogShape::kKeyedInds}) {
+    std::shared_ptr<Catalog> catalog = MakeCatalog(shape);
+    SchemaResolver resolver = ResolverFromCatalog(*catalog);
+    Result<Database> db = GenerateRandomDatabase(catalog, &rng);
+    DWC_ASSERT_OK(db);
+    Environment env = Environment::FromDatabase(*db);
+
+    for (int round = 0; round < 30; ++round) {
+      Result<ExprRef> base_expr = GenerateRandomQuery(*catalog, &rng);
+      DWC_ASSERT_OK(base_expr);
+      Result<Schema> schema = InferSchema(**base_expr, resolver);
+      if (!schema.ok()) {
+        continue;
+      }
+      // The pool: the query, its columns reversed, and up to two other
+      // random queries over the same attributes.
+      std::vector<std::string> names = NamesOf(*schema);
+      std::vector<ExprRef> pool = {
+          *base_expr,
+          Expr::Project({names.rbegin(), names.rend()}, *base_expr)};
+      for (int attempt = 0; attempt < 20 && pool.size() < 4; ++attempt) {
+        Result<ExprRef> candidate = GenerateRandomQuery(*catalog, &rng);
+        if (!candidate.ok()) {
+          continue;
+        }
+        Result<Schema> candidate_schema = InferSchema(**candidate, resolver);
+        if (candidate_schema.ok() && candidate_schema->SameAttrsAs(*schema)) {
+          pool.push_back(*candidate);
+        }
+      }
+      // 2–7 arms drawn with repetition, joined into a random tree shape.
+      std::vector<ExprRef> arms;
+      size_t count = 2 + rng.Below(6);
+      for (size_t i = 0; i < count; ++i) {
+        arms.push_back(pool[rng.Below(pool.size())]);
+      }
+      while (arms.size() > 1) {
+        size_t at = rng.Below(arms.size() - 1);
+        arms[at] = Expr::Union(arms[at], arms[at + 1]);
+        arms.erase(arms.begin() + static_cast<std::ptrdiff_t>(at) + 1);
+      }
+      ExprRef expr = arms.front();
+
+      ExprRef simplified = Simplify(expr, &resolver);
+      Result<Relation> before = EvalExpr(*expr, env);
+      Result<Relation> after = EvalExpr(*simplified, env);
+      DWC_ASSERT_OK(before);
+      DWC_ASSERT_OK(after);
+      ASSERT_TRUE(testing::RelationsEqual(*after, *before))
+          << "original:   " << expr->ToString()
+          << "\nsimplified: " << simplified->ToString();
+      EXPECT_EQ(testing::RepeatedUnionArm(simplified), "")
+          << "simplified: " << simplified->ToString();
+      EXPECT_TRUE(Simplify(simplified, &resolver)->Equals(*simplified));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dwc

@@ -6,6 +6,7 @@
 
 #include "core/query_translation.h"
 #include "core/warehouse_spec.h"
+#include "maintenance/plan.h"
 #include "parser/parser.h"
 #include "testing/test_util.h"
 #include "warehouse/warehouse.h"
@@ -44,6 +45,23 @@ TEST_F(StarSchemaTest, AllComplementsEmpty) {
     EXPECT_TRUE(info.provably_empty) << info.base;
   }
   EXPECT_TRUE(spec_->complements().empty());
+}
+
+TEST_F(StarSchemaTest, NoInverseOrMaintenancePlanRepeatsAUnionArm) {
+  for (const auto& [base, inverse] : spec_->inverses()) {
+    EXPECT_EQ(testing::RepeatedUnionArm(inverse), "")
+        << base << "^-1 = " << inverse->ToString();
+  }
+  Result<MaintenancePlan> plan = DeriveMaintenancePlan(*spec_);
+  DWC_ASSERT_OK(plan);
+  for (const auto& [relation, per_base] : plan->entries()) {
+    for (const auto& [base, pair] : per_base) {
+      EXPECT_EQ(testing::RepeatedUnionArm(pair.plus), "")
+          << relation << " on +" << base << ": " << pair.plus->ToString();
+      EXPECT_EQ(testing::RepeatedUnionArm(pair.minus), "")
+          << relation << " on -" << base << ": " << pair.minus->ToString();
+    }
+  }
 }
 
 TEST_F(StarSchemaTest, LoadsAndReconstructs) {

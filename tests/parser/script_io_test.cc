@@ -8,7 +8,9 @@
 #include "parser/parser.h"
 #include "testing/property_util.h"
 #include "testing/test_util.h"
+#include "util/checksum.h"
 #include "util/rng.h"
+#include "warehouse/update.h"
 #include "workload/random_db.h"
 #include "workload/random_views.h"
 #include "workload/star_schema.h"
@@ -18,7 +20,10 @@ namespace {
 
 using ::dwc::testing::CatalogShape;
 using ::dwc::testing::MakeCatalog;
+using ::dwc::testing::I;
 using ::dwc::testing::MustRun;
+using ::dwc::testing::S;
+using ::dwc::testing::T;
 
 TEST(ScriptIoTest, ExprRoundTrip) {
   const char* exprs[] = {
@@ -131,6 +136,73 @@ TEST(ScriptIoTest, SummaryParserValidation) {
       "SUMMARY S AS SELECT g, SUM(v) AS s FROM V GROUP BY g;\n");
   ASSERT_EQ(ok.summaries.size(), 1u);
   EXPECT_EQ(ok.summaries[0].name, "S");
+}
+
+// Replaying DELTA records checks each record's post-state digest, also
+// when plain INSERT/DELETE statements change the relation in between and
+// when a record repeats an insert or deletes an absent tuple.
+class DeltaReplayTest : public ::testing::Test {
+ protected:
+  // A DELTA record applying (inserts, deletes) to `truth_`, stamped with
+  // the digest `truth_` has afterwards.
+  std::string Delta(std::vector<Tuple> inserts, std::vector<Tuple> deletes) {
+    CanonicalDelta delta;
+    delta.relation = "R";
+    delta.inserts = Relation(schema_);
+    delta.deletes = Relation(schema_);
+    for (Tuple& tuple : deletes) {
+      truth_.Erase(tuple);
+      delta.deletes.Insert(std::move(tuple));
+    }
+    for (Tuple& tuple : inserts) {
+      truth_.Insert(tuple);
+      delta.inserts.Insert(std::move(tuple));
+    }
+    delta.source_id = "s1";
+    delta.epoch = 1;
+    delta.sequence = ++sequence_;
+    delta.state_digest = RelationDigest(truth_);
+    return DeltaToScript(delta);
+  }
+
+  std::string Script() {
+    std::string script =
+        "CREATE TABLE R(a INT, b STRING);\n"
+        "INSERT INTO R VALUES (1, 'x'), (2, 'y');\n";
+    truth_.Insert(T({I(1), S("x")}));
+    truth_.Insert(T({I(2), S("y")}));
+    script += Delta({T({I(3), S("z")})}, {T({I(1), S("x")})});
+    script += "DELETE FROM R VALUES (2, 'y');\n";
+    truth_.Erase(T({I(2), S("y")}));
+    script += Delta({T({I(4), S("w")}), T({I(3), S("z")})},
+                    {T({I(9), S("absent")})});
+    script += "INSERT INTO R VALUES (2, 'y'), (5, 'v');\n";
+    truth_.Insert(T({I(2), S("y")}));
+    truth_.Insert(T({I(5), S("v")}));
+    script += Delta({}, {T({I(5), S("v")}), T({I(3), S("z")})});
+    script += Delta({T({I(6), S("u")})}, {});
+    return script;
+  }
+
+  Schema schema_{{{"a", ValueType::kInt}, {"b", ValueType::kString}}};
+  Relation truth_{schema_};
+  uint64_t sequence_ = 0;
+};
+
+TEST_F(DeltaReplayTest, MixedStatementsVerify) {
+  Result<ScriptContext> context = RunScript(Script());
+  DWC_ASSERT_OK(context);
+  EXPECT_TRUE(
+      testing::RelationsEqual(*context->db.FindRelation("R"), truth_));
+}
+
+TEST_F(DeltaReplayTest, TamperedDigestFails) {
+  std::string script = Script();
+  // Flip one hex digit of the last record's STATE digest.
+  size_t at = script.rfind("STATE '") + 7;
+  script[at] = script[at] == '0' ? '1' : '0';
+  EXPECT_EQ(RunScript(script).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

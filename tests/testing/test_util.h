@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "algebra/expr.h"
 #include "parser/interpreter.h"
 #include "parser/parser.h"
 #include "relational/relation.h"
@@ -94,6 +95,53 @@ inline ::testing::AssertionResult RelationsEqual(const Relation& actual,
   return ::testing::AssertionFailure()
          << "relations differ:\n  actual   " << actual.ToString()
          << "\n  expected " << expected.ToString();
+}
+
+// The arms of the union chain rooted at `expr` (just `expr` when it is not
+// a union), left to right.
+inline void CollectUnionArms(const ExprRef& expr, std::vector<ExprRef>* arms) {
+  if (expr->kind() != Expr::Kind::kUnion) {
+    arms->push_back(expr);
+    return;
+  }
+  CollectUnionArms(expr->left(), arms);
+  CollectUnionArms(expr->right(), arms);
+}
+
+// An arm that some union chain anywhere in `expr` holds twice (structural
+// Equals), rendered; empty when there is none.
+inline std::string RepeatedUnionArm(const ExprRef& expr) {
+  switch (expr->kind()) {
+    case Expr::Kind::kBase:
+    case Expr::Kind::kEmpty:
+      return "";
+    case Expr::Kind::kSelect:
+    case Expr::Kind::kProject:
+    case Expr::Kind::kRename:
+      return RepeatedUnionArm(expr->child());
+    case Expr::Kind::kJoin:
+    case Expr::Kind::kDifference: {
+      std::string repeated = RepeatedUnionArm(expr->left());
+      return repeated.empty() ? RepeatedUnionArm(expr->right()) : repeated;
+    }
+    case Expr::Kind::kUnion: {
+      std::vector<ExprRef> arms;
+      CollectUnionArms(expr, &arms);
+      for (size_t i = 0; i < arms.size(); ++i) {
+        for (size_t j = i + 1; j < arms.size(); ++j) {
+          if (arms[i]->Equals(*arms[j])) {
+            return arms[i]->ToString();
+          }
+        }
+        std::string repeated = RepeatedUnionArm(arms[i]);
+        if (!repeated.empty()) {
+          return repeated;
+        }
+      }
+      return "";
+    }
+  }
+  return "";
 }
 
 }  // namespace testing
