@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "bench/bench_common.h"
+#include "exec/thread_pool.h"
 #include "storage/durable.h"
 #include "storage/fault_vfs.h"
 #include "storage/recovery.h"
@@ -127,6 +128,7 @@ void JsonRow(const char* label, size_t arg, size_t deltas,
              std::vector<BenchRow>* rows) {
   PreparedDirectory prepared(deltas, policy_max_records);
   uint64_t replayed = 0;
+  size_t threads = 0;
   std::vector<double> latencies;
   for (size_t i = 0; i < iterations; ++i) {
     RecoveryManager manager(&prepared.vfs, "wh");
@@ -137,11 +139,12 @@ void JsonRow(const char* label, size_t arg, size_t deltas,
                             std::chrono::steady_clock::now() - start)
                             .count());
     replayed = recovered.report.records_replayed;
+    threads = recovered.restored.warehouse->evaluator_options().num_threads;
     benchmark::DoNotOptimize(recovered.restored.warehouse);
   }
   BenchRow row;
   row.name = StrCat(label, "=", arg);
-  row.threads = 1;
+  row.threads = ThreadPool::ResolveThreads(threads);
   row.latency = SummarizeLatencies(std::move(latencies));
   row.counters["wal_records"] = static_cast<double>(replayed);
   if (policy_max_records > 0) {

@@ -1,21 +1,17 @@
 #include "algebra/implication.h"
 
-#include <optional>
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace dwc {
 
 namespace {
 
-// A normalized comparison literal: attr <op> constant, or an opaque
-// predicate matched only syntactically.
-struct Literal {
-  bool is_cmp = false;
-  std::string attr;
-  CmpOp op = CmpOp::kEq;
-  Value constant;
-  PredicateRef opaque;  // Set when !is_cmp.
-};
+// Keeps the DNF expansion from exploding on adversarial inputs; predicates
+// that would need more disjuncts are simply not decided.
+constexpr size_t kMaxDisjuncts = 128;
 
 CmpOp Negate(CmpOp op) {
   switch (op) {
@@ -35,7 +31,7 @@ CmpOp Negate(CmpOp op) {
   return op;
 }
 
-// Mirror "const op attr" into "attr op' const".
+// "const op attr" / "b op a" mirrored into "attr op' const" / "a op' b".
 CmpOp Mirror(CmpOp op) {
   switch (op) {
     case CmpOp::kLt:
@@ -51,171 +47,192 @@ CmpOp Mirror(CmpOp op) {
   }
 }
 
-// Normalizes a comparison node into a Literal. `negated` applies NOT.
-Literal MakeLiteral(const Predicate& cmp, bool negated) {
-  Literal literal;
-  if (cmp.lhs().is_attr() && !cmp.rhs().is_attr()) {
-    literal.is_cmp = true;
-    literal.attr = cmp.lhs().attr();
-    literal.op = cmp.op();
-    literal.constant = cmp.rhs().value();
-  } else if (!cmp.lhs().is_attr() && cmp.rhs().is_attr()) {
-    literal.is_cmp = true;
-    literal.attr = cmp.rhs().attr();
-    literal.op = Mirror(cmp.op());
-    literal.constant = cmp.lhs().value();
-  } else {
-    literal.opaque = Predicate::Cmp(cmp.lhs(), cmp.op(), cmp.rhs());
-    if (negated) {
-      literal.opaque = Predicate::Cmp(cmp.lhs(), Negate(cmp.op()), cmp.rhs());
-    }
-    return literal;
-  }
-  if (negated) {
-    literal.op = Negate(literal.op);
-  }
-  return literal;
+// A normalized literal of one DNF conjunct.
+struct Lit {
+  enum class Kind {
+    kTrue,      // Constant true: droppable.
+    kFalse,     // Constant false: the conjunct is unsatisfiable.
+    kCmp,       // attr <op> constant.
+    kAttrPair,  // attr <op> rhs_attr (distinct attributes, attr < rhs_attr).
+  };
+  Kind kind = Kind::kTrue;
+  std::string attr;
+  CmpOp op = CmpOp::kEq;
+  Value constant;
+  std::string rhs_attr;
+};
+
+Lit ConstLit(bool truth) {
+  Lit lit;
+  lit.kind = truth ? Lit::Kind::kTrue : Lit::Kind::kFalse;
+  return lit;
 }
 
-// Flattens `p` through ANDs into literals. Returns false if `p` contains an
-// OR (caller handles disjunction separately) — out is then unusable.
-bool FlattenConjunction(const PredicateRef& p, bool negated,
-                        std::vector<Literal>* out) {
+// Normalizes one comparison node (under an optional NOT) into a literal.
+Lit MakeLit(const Predicate& cmp, bool negated) {
+  CmpOp op = negated ? Negate(cmp.op()) : cmp.op();
+  const Operand& lhs = cmp.lhs();
+  const Operand& rhs = cmp.rhs();
+  if (!lhs.is_attr() && !rhs.is_attr()) {
+    return ConstLit(Compare(lhs.value(), op, rhs.value()));
+  }
+  Lit lit;
+  if (lhs.is_attr() && rhs.is_attr()) {
+    if (lhs.attr() == rhs.attr()) {
+      // Reflexive comparison: x op x.
+      return ConstLit(op == CmpOp::kEq || op == CmpOp::kLe ||
+                      op == CmpOp::kGe);
+    }
+    lit.kind = Lit::Kind::kAttrPair;
+    lit.attr = lhs.attr();
+    lit.op = op;
+    lit.rhs_attr = rhs.attr();
+    if (lit.rhs_attr < lit.attr) {
+      std::swap(lit.attr, lit.rhs_attr);
+      lit.op = Mirror(lit.op);
+    }
+    return lit;
+  }
+  lit.kind = Lit::Kind::kCmp;
+  if (lhs.is_attr()) {
+    lit.attr = lhs.attr();
+    lit.op = op;
+    lit.constant = rhs.value();
+  } else {
+    lit.attr = rhs.attr();
+    lit.op = Mirror(op);
+    lit.constant = lhs.value();
+  }
+  return lit;
+}
+
+using Conj = std::vector<Lit>;
+
+// Expands `p` (negated when `negated`) into a disjunction of literal
+// conjunctions. Returns false when the expansion would exceed the budget.
+bool ToDnf(const PredicateRef& p, bool negated, std::vector<Conj>* out) {
   switch (p->kind()) {
     case Predicate::Kind::kTrue:
-      if (negated) {
-        // NOT true: an unsatisfiable conjunct; encode as opaque.
-        Literal literal;
-        literal.opaque = Predicate::Not(Predicate::True());
-        out->push_back(std::move(literal));
+      if (!negated) {
+        out->push_back(Conj{});
       }
+      // NOT true: the empty disjunction, i.e. false.
       return true;
     case Predicate::Kind::kCmp:
-      out->push_back(MakeLiteral(*p, negated));
+      out->push_back(Conj{MakeLit(*p, negated)});
       return true;
+    case Predicate::Kind::kNot:
+      return ToDnf(p->left(), !negated, out);
     case Predicate::Kind::kAnd:
-      if (negated) {
-        return false;  // NOT(a AND b) is a disjunction.
-      }
-      return FlattenConjunction(p->left(), false, out) &&
-             FlattenConjunction(p->right(), false, out);
-    case Predicate::Kind::kOr:
-      if (!negated) {
+    case Predicate::Kind::kOr: {
+      bool conjunctive = (p->kind() == Predicate::Kind::kAnd) != negated;
+      std::vector<Conj> left;
+      std::vector<Conj> right;
+      if (!ToDnf(p->left(), negated, &left) ||
+          !ToDnf(p->right(), negated, &right)) {
         return false;
       }
-      // NOT(a OR b) = NOT a AND NOT b.
-      return FlattenConjunction(p->left(), true, out) &&
-             FlattenConjunction(p->right(), true, out);
-    case Predicate::Kind::kNot:
-      return FlattenConjunction(p->left(), !negated, out);
-  }
-  return false;
-}
-
-// Does the conjunction `facts` entail the single comparison `goal`?
-bool FactsEntailCmp(const std::vector<Literal>& facts, const Literal& goal) {
-  for (const Literal& fact : facts) {
-    if (!fact.is_cmp || fact.attr != goal.attr) {
-      continue;
-    }
-    const Value& fv = fact.constant;
-    const Value& gv = goal.constant;
-    switch (goal.op) {
-      case CmpOp::kEq:
-        if (fact.op == CmpOp::kEq && fv == gv) {
-          return true;
+      if (!conjunctive) {
+        if (left.size() + right.size() > kMaxDisjuncts) {
+          return false;
         }
-        break;
-      case CmpOp::kNe:
-        if (fact.op == CmpOp::kNe && fv == gv) {
-          return true;
+        *out = std::move(left);
+        out->insert(out->end(), std::make_move_iterator(right.begin()),
+                    std::make_move_iterator(right.end()));
+        return true;
+      }
+      if (left.size() * right.size() > kMaxDisjuncts) {
+        return false;
+      }
+      for (const Conj& a : left) {
+        for (const Conj& b : right) {
+          Conj merged = a;
+          merged.insert(merged.end(), b.begin(), b.end());
+          out->push_back(std::move(merged));
         }
-        if (fact.op == CmpOp::kEq && fv != gv) {
-          return true;
-        }
-        if (fact.op == CmpOp::kLt && gv >= fv) {
-          return true;  // a < fv and gv >= fv: a != gv.
-        }
-        if (fact.op == CmpOp::kLe && gv > fv) {
-          return true;
-        }
-        if (fact.op == CmpOp::kGt && gv <= fv) {
-          return true;
-        }
-        if (fact.op == CmpOp::kGe && gv < fv) {
-          return true;
-        }
-        break;
-      case CmpOp::kLt:
-        if ((fact.op == CmpOp::kLt && fv <= gv) ||
-            (fact.op == CmpOp::kLe && fv < gv) ||
-            (fact.op == CmpOp::kEq && fv < gv)) {
-          return true;
-        }
-        break;
-      case CmpOp::kLe:
-        if ((fact.op == CmpOp::kLt && fv <= gv) ||
-            (fact.op == CmpOp::kLe && fv <= gv) ||
-            (fact.op == CmpOp::kEq && fv <= gv)) {
-          return true;
-        }
-        break;
-      case CmpOp::kGt:
-        if ((fact.op == CmpOp::kGt && fv >= gv) ||
-            (fact.op == CmpOp::kGe && fv > gv) ||
-            (fact.op == CmpOp::kEq && fv > gv)) {
-          return true;
-        }
-        break;
-      case CmpOp::kGe:
-        if ((fact.op == CmpOp::kGt && fv >= gv) ||
-            (fact.op == CmpOp::kGe && fv >= gv) ||
-            (fact.op == CmpOp::kEq && fv >= gv)) {
-          return true;
-        }
-        break;
-    }
-  }
-  return false;
-}
-
-bool FactsEntailOpaque(const std::vector<Literal>& facts,
-                       const PredicateRef& goal) {
-  for (const Literal& fact : facts) {
-    if (!fact.is_cmp && fact.opaque->Equals(*goal)) {
+      }
       return true;
     }
   }
   return false;
 }
 
-// facts |= q, with q decomposed structurally.
-bool FactsEntail(const std::vector<Literal>& facts, const PredicateRef& q) {
-  switch (q->kind()) {
-    case Predicate::Kind::kTrue:
+// True when {x : x a_op v} ∩ {x : x b_op w} is provably empty under the
+// engine's total Value order (no density assumption is needed: every case
+// below derives x < x or x != x directly).
+bool PairUnsatCmp(CmpOp a_op, const Value& v, CmpOp b_op, const Value& w) {
+  // Normalize so the equality (if any) comes first.
+  if (b_op == CmpOp::kEq && a_op != CmpOp::kEq) {
+    return PairUnsatCmp(b_op, w, a_op, v);
+  }
+  switch (a_op) {
+    case CmpOp::kEq:
+      // x = v contradicts x b_op w iff v fails the other constraint.
+      return !Compare(v, b_op, w);
+    case CmpOp::kNe:
+      return false;  // Only contradicted by an equality, handled above.
+    case CmpOp::kLt:
+      // x < v vs lower bounds.
+      if (b_op == CmpOp::kGt || b_op == CmpOp::kGe) {
+        return v <= w;
+      }
+      return false;
+    case CmpOp::kLe:
+      if (b_op == CmpOp::kGt) {
+        return v <= w;
+      }
+      if (b_op == CmpOp::kGe) {
+        return v < w;
+      }
+      return false;
+    case CmpOp::kGt:
+      if (b_op == CmpOp::kLt || b_op == CmpOp::kLe) {
+        return w <= v;
+      }
+      return false;
+    case CmpOp::kGe:
+      if (b_op == CmpOp::kLt) {
+        return w <= v;
+      }
+      if (b_op == CmpOp::kLe) {
+        return w < v;
+      }
+      return false;
+  }
+  return false;
+}
+
+// True when (x a y) AND (x b y) is unsatisfiable for any x, y.
+bool ContradictoryOps(CmpOp a, CmpOp b) {
+  auto unordered = [&](CmpOp p, CmpOp q) {
+    return (a == p && b == q) || (a == q && b == p);
+  };
+  return unordered(CmpOp::kEq, CmpOp::kNe) ||
+         unordered(CmpOp::kEq, CmpOp::kLt) ||
+         unordered(CmpOp::kEq, CmpOp::kGt) ||
+         unordered(CmpOp::kLt, CmpOp::kGt) ||
+         unordered(CmpOp::kLt, CmpOp::kGe) ||
+         unordered(CmpOp::kGt, CmpOp::kLe);
+}
+
+bool ConjUnsat(const Conj& conj) {
+  for (size_t i = 0; i < conj.size(); ++i) {
+    const Lit& a = conj[i];
+    if (a.kind == Lit::Kind::kFalse) {
       return true;
-    case Predicate::Kind::kAnd:
-      return FactsEntail(facts, q->left()) && FactsEntail(facts, q->right());
-    case Predicate::Kind::kOr:
-      return FactsEntail(facts, q->left()) || FactsEntail(facts, q->right());
-    case Predicate::Kind::kCmp: {
-      Literal goal = MakeLiteral(*q, /*negated=*/false);
-      if (goal.is_cmp) {
-        return FactsEntailCmp(facts, goal);
-      }
-      return FactsEntailOpaque(facts, goal.opaque);
     }
-    case Predicate::Kind::kNot: {
-      // Only the comparison case is handled precisely.
-      if (q->left()->kind() == Predicate::Kind::kCmp) {
-        Literal goal = MakeLiteral(*q->left(), /*negated=*/true);
-        if (goal.is_cmp) {
-          return FactsEntailCmp(facts, goal);
-        }
-        return FactsEntailOpaque(facts, goal.opaque);
+    for (size_t j = i + 1; j < conj.size(); ++j) {
+      const Lit& b = conj[j];
+      if (a.kind == Lit::Kind::kCmp && b.kind == Lit::Kind::kCmp &&
+          a.attr == b.attr &&
+          PairUnsatCmp(a.op, a.constant, b.op, b.constant)) {
+        return true;
       }
-      // Opaque NOT: literal match.
-      return FactsEntailOpaque(facts, q);
+      if (a.kind == Lit::Kind::kAttrPair && b.kind == Lit::Kind::kAttrPair &&
+          a.attr == b.attr && a.rhs_attr == b.rhs_attr &&
+          ContradictoryOps(a.op, b.op)) {
+        return true;
+      }
     }
   }
   return false;
@@ -223,38 +240,16 @@ bool FactsEntail(const std::vector<Literal>& facts, const PredicateRef& q) {
 
 }  // namespace
 
+bool ProvablyUnsatisfiable(const PredicateRef& p) {
+  std::vector<Conj> dnf;
+  if (!ToDnf(p, /*negated=*/false, &dnf)) {
+    return false;
+  }
+  return std::all_of(dnf.begin(), dnf.end(), ConjUnsat);
+}
+
 bool Implies(const PredicateRef& p, const PredicateRef& q) {
-  if (q->kind() == Predicate::Kind::kTrue) {
-    return true;
-  }
-  // Case split over p's disjunctions.
-  if (p->kind() == Predicate::Kind::kOr) {
-    return Implies(p->left(), q) && Implies(p->right(), q);
-  }
-  if (p->kind() == Predicate::Kind::kNot &&
-      p->left()->kind() == Predicate::Kind::kAnd) {
-    // NOT(a AND b) = NOT a OR NOT b.
-    return Implies(Predicate::Not(p->left()->left()), q) &&
-           Implies(Predicate::Not(p->left()->right()), q);
-  }
-  if (p->kind() == Predicate::Kind::kAnd) {
-    // Distribute nested ORs: (a OR b) AND c ⇒ q iff (a AND c ⇒ q) etc.
-    // Handle the common shallow case; otherwise flatten below (which bails
-    // to `false` when it meets an OR it cannot place).
-    if (p->left()->kind() == Predicate::Kind::kOr) {
-      return Implies(Predicate::And(p->left()->left(), p->right()), q) &&
-             Implies(Predicate::And(p->left()->right(), p->right()), q);
-    }
-    if (p->right()->kind() == Predicate::Kind::kOr) {
-      return Implies(Predicate::And(p->left(), p->right()->left()), q) &&
-             Implies(Predicate::And(p->left(), p->right()->right()), q);
-    }
-  }
-  std::vector<Literal> facts;
-  if (!FlattenConjunction(p, /*negated=*/false, &facts)) {
-    return false;  // Deeply nested OR shape we do not normalize.
-  }
-  return FactsEntail(facts, q);
+  return ProvablyUnsatisfiable(Predicate::And(p, Predicate::Not(q)));
 }
 
 }  // namespace dwc

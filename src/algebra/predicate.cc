@@ -22,8 +22,6 @@ const char* CmpOpSymbol(CmpOp op) {
   return "?";
 }
 
-namespace {
-
 bool Compare(const Value& lhs, CmpOp op, const Value& rhs) {
   switch (op) {
     case CmpOp::kEq:
@@ -41,8 +39,6 @@ bool Compare(const Value& lhs, CmpOp op, const Value& rhs) {
   }
   return false;
 }
-
-}  // namespace
 
 PredicateRef Predicate::True() {
   auto node = std::shared_ptr<Predicate>(new Predicate());

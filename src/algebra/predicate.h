@@ -24,6 +24,9 @@ enum class CmpOp {
 
 const char* CmpOpSymbol(CmpOp op);
 
+// `lhs op rhs` under the engine's total Value order.
+bool Compare(const Value& lhs, CmpOp op, const Value& rhs);
+
 // One side of a comparison: an attribute reference or a constant.
 class Operand {
  public:

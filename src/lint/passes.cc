@@ -13,7 +13,6 @@
 #include "algebra/schema_inference.h"
 #include "algebra/simplifier.h"
 #include "core/psj.h"
-#include "lint/predicate_analysis.h"
 #include "util/string_util.h"
 
 namespace dwc {
@@ -386,7 +385,7 @@ class PredicatePass : public LintPass {
       if (!first_select_loc->valid()) {
         *first_select_loc = loc;
       }
-      if (ProvablyTautological(node->predicate())) {
+      if (Implies(Predicate::True(), node->predicate())) {
         sink->Report("DWC-W002", loc,
                      StrCat("in view '", view.def.name,
                             "', selection predicate '",
