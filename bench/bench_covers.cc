@@ -134,6 +134,7 @@ int Main(int argc, char** argv) {
     size_t covers = 0;
     BenchRow row;
     row.name = StrCat("enumerate_covers/candidates=", n, "/attrs=", attrs);
+    row.threads = 1;  // Cover enumeration runs on the calling thread.
     row.latency = SummarizeLatencies(MeasureLatenciesUs(10, [&] {
       std::vector<Cover> result =
           EnumerateMinimalCovers(candidates, target, /*max_covers=*/4096);
@@ -166,6 +167,7 @@ int Main(int argc, char** argv) {
     size_t covers = 0;
     BenchRow row;
     row.name = StrCat("complement_fragments/width=", width);
+    row.threads = 1;  // So does ComputeComplement.
     row.latency = SummarizeLatencies(MeasureLatenciesUs(5, [&] {
       ComplementResult result =
           Unwrap(ComputeComplement(views, *catalog, options), "complement");

@@ -16,6 +16,7 @@
 #include "algebra/evaluator.h"
 #include "bench/bench_common.h"
 #include "core/query_translation.h"
+#include "exec/thread_pool.h"
 #include "parser/parser.h"
 #include "util/string_util.h"
 
@@ -135,6 +136,7 @@ int Main(int argc, char** argv) {
       ExprRef query = Query(q);
       BenchRow translate;
       translate.name = StrCat("translate_only/q", q + 1, "/fact=", fact);
+      translate.threads = 1;  // Translation evaluates nothing.
       translate.latency = SummarizeLatencies(MeasureLatenciesUs(50, [&] {
         ExprRef translated =
             Unwrap(TranslateQuery(query, *fixture.spec), "translate");
@@ -145,6 +147,8 @@ int Main(int argc, char** argv) {
       size_t out = 0;
       BenchRow warehouse;
       warehouse.name = StrCat("answer_warehouse/q", q + 1, "/fact=", fact);
+      warehouse.threads = ThreadPool::ResolveThreads(
+          fixture.warehouse->evaluator_options().num_threads);
       warehouse.latency = SummarizeLatencies(MeasureLatenciesUs(15, [&] {
         Relation answer =
             Unwrap(fixture.warehouse->AnswerQuery(query), "answer");
@@ -156,6 +160,9 @@ int Main(int argc, char** argv) {
 
       BenchRow at_source;
       at_source.name = StrCat("answer_source/q", q + 1, "/fact=", fact);
+      // EvalExpr evaluates with the default options.
+      at_source.threads =
+          ThreadPool::ResolveThreads(EvaluatorOptions().num_threads);
       at_source.latency = SummarizeLatencies(MeasureLatenciesUs(15, [&] {
         Relation answer =
             Unwrap(EvalExpr(*query, fixture.source_env), "answer");

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "exec/thread_pool.h"
 #include "util/string_util.h"
 #include "workload/star_schema.h"
 
@@ -105,6 +106,8 @@ int Main(int argc, char** argv) {
         Unwrap(SpecifyWarehouse(star.catalog, star.views), "spec"));
     BenchRow row;
     row.name = StrCat("initial_load/sales=", sales);
+    // Load materializes with the default evaluator options.
+    row.threads = ThreadPool::ResolveThreads(EvaluatorOptions().num_threads);
     row.latency = SummarizeLatencies(MeasureLatenciesUs(3, [&] {
       Warehouse warehouse = Unwrap(Warehouse::Load(spec, star.db), "load");
       benchmark::DoNotOptimize(warehouse);
@@ -145,6 +148,8 @@ int Main(int argc, char** argv) {
     }
     BenchRow row;
     row.name = StrCat("sales_append/batch=", batch);
+    row.threads =
+        ThreadPool::ResolveThreads(warehouse.evaluator_options().num_threads);
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["tuples_s"] =
         row.latency.ops_per_sec * static_cast<double>(batch);

@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "exec/thread_pool.h"
 #include "parser/parser.h"
 #include "util/string_util.h"
 
@@ -191,6 +192,8 @@ int Main(int argc, char** argv) {
     double misses = static_cast<double>(after.misses - before.misses);
     BenchRow row;
     row.name = StrCat("repeated_query/budget=", budget);
+    row.threads = ThreadPool::ResolveThreads(
+        fixture.warehouse->evaluator_options().num_threads);
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["hits"] = hits;
     row.counters["misses"] = misses;
@@ -241,6 +244,8 @@ int Main(int argc, char** argv) {
     }
     BenchRow row;
     row.name = StrCat("skewed_delta/budget=", budget);
+    row.threads = ThreadPool::ResolveThreads(
+        fixture.warehouse->evaluator_options().num_threads);
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["hits"] = hits;
     row.counters["misses"] = misses;

@@ -70,6 +70,41 @@ ExprRef SimplifyUnion(const ExprRef& expr, const ExprRef& left,
   return Expr::Union(kept_left, kept_right);
 }
 
+// left − right for already simplified, non-empty operands; `expr` is the
+// original node. Under set semantics x ∈ A implies x ∈ A ∪ C, so
+// (A ∪ B) − (A ∪ C) = B − (A ∪ C): every arm of the left chain that Equals
+// an arm of the right chain drops, and the difference is empty when all do.
+// Fires only when the difference's schema resolves and the kept chain lists
+// its columns in the left's order (dropping the leftmost arm can change it).
+ExprRef SimplifyDifference(const ExprRef& expr, const ExprRef& left,
+                           const ExprRef& right,
+                           const SchemaResolver* resolver) {
+  auto unchanged = [&] {
+    return left == expr->left() && right == expr->right()
+               ? expr
+               : Expr::Difference(left, right);
+  };
+  std::vector<ExprRef> seen;
+  DropSeenArms(right, &seen);  // Seeds `seen` with the right chain's arms.
+  ExprRef kept = DropSeenArms(left, &seen);
+  if (kept == left) {
+    return unchanged();
+  }
+  std::optional<Schema> schema =
+      TrySchema(Expr::Difference(left, right), resolver);
+  if (!schema.has_value()) {
+    return unchanged();
+  }
+  if (kept == nullptr) {
+    return Expr::Empty(std::move(*schema));
+  }
+  std::optional<Schema> kept_schema = TrySchema(kept, resolver);
+  if (!kept_schema.has_value() || *kept_schema != *schema) {
+    return unchanged();
+  }
+  return Expr::Difference(kept, right);
+}
+
 // π[attrs](child) for an already simplified `child`; `expr` as above.
 ExprRef SimplifyProject(const ExprRef& expr,
                         const std::vector<std::string>& attrs,
@@ -194,16 +229,7 @@ ExprRef Simplify(const ExprRef& expr, const SchemaResolver* resolver) {
       if (IsEmptyNode(right)) {
         return left;
       }
-      if (left->Equals(*right)) {
-        std::optional<Schema> schema = TrySchema(left, resolver);
-        if (schema.has_value()) {
-          return Expr::Empty(std::move(*schema));
-        }
-      }
-      if (left == expr->left() && right == expr->right()) {
-        return expr;
-      }
-      return Expr::Difference(left, right);
+      return SimplifyDifference(expr, left, right, resolver);
     }
   }
   return expr;

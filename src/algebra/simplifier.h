@@ -15,7 +15,11 @@ namespace dwc {
 //   joins/unions/differences with the empty relation collapse
 //   a union chain drops every arm structurally equal to an earlier arm
 //     (set semantics: union is idempotent, associative and commutative)
-//   difference of structurally equal operands collapses
+//   a difference drops every arm of its left union chain that is
+//     structurally equal to an arm of its right chain, (A union B) minus
+//     (A union C) -> B minus (A union C), and is empty when every arm drops
+//     (needs the schemas; only when the kept chain keeps the left's column
+//     order)
 //   rename with an empty map vanishes
 //
 // Some rules need output schemas (e.g. `e join empty -> empty` must know the

@@ -197,5 +197,72 @@ TEST_F(QueryTranslationTest, OneOffQueriesDoNotGrowTheInterner) {
   EXPECT_LE(spec_->interner()->size(), loaded + 4);
 }
 
+// Subtrees of `expr` that Equals `node`, counted per occurrence (a unary
+// node's child is its left()).
+size_t CountOccurrences(const ExprRef& expr, const Expr& node) {
+  if (expr->Equals(node)) {
+    return 1;
+  }
+  size_t count = 0;
+  for (const ExprRef& child : {expr->left(), expr->right()}) {
+    if (child != nullptr) {
+      count += CountOccurrences(child, node);
+    }
+  }
+  return count;
+}
+
+TEST_F(QueryTranslationTest, AntiQueryReadsTheViewOnce) {
+  // Emp and Sale both invert through Sold, so the translated difference
+  // carries π[clerk](Sold) on both sides; the left copy cancels against the
+  // right's, and the left that remains, π[clerk](C_Emp), is the few clerks
+  // without sales, small enough to probe the right side with.
+  const ExprRef query = Expr::Difference(
+      Expr::Project({"clerk"}, Expr::Base("Emp")),
+      Expr::Project({"clerk"}, Expr::Base("Sale")));
+  const ExprRef view_clerks = Expr::Project({"clerk"}, Expr::Base("Sold"));
+  for (bool with_constraints : {true, false}) {
+    SCOPED_TRACE(with_constraints ? "with constraints" : "no constraints");
+    std::string script =
+        "CREATE TABLE Emp(clerk STRING, age INT, KEY(clerk));\n"
+        "CREATE TABLE Sale(item STRING, clerk STRING);\n";
+    if (with_constraints) {
+      script += "INCLUSION Sale(clerk) SUBSETOF Emp(clerk);\n";
+    }
+    // 200 clerks; 600 sales spread over the first 160 of them.
+    for (int clerk = 0; clerk < 200; ++clerk) {
+      script += StrCat("INSERT INTO Emp VALUES ('c", clerk, "', ",
+                       20 + clerk % 40, ");\n");
+    }
+    for (int sale = 0; sale < 600; ++sale) {
+      script += StrCat("INSERT INTO Sale VALUES ('i", sale, "', 'c",
+                       sale % 160, "');\n");
+    }
+    script += "VIEW Sold AS Sale JOIN Emp;\n";
+    ScriptContext context = MustRun(script);
+    Result<WarehouseSpec> spec =
+        SpecifyWarehouse(context.catalog, context.views);
+    DWC_ASSERT_OK(spec);
+    auto shared_spec = std::make_shared<WarehouseSpec>(std::move(spec).value());
+
+    Result<ExprRef> translated = TranslateQuery(query, *shared_spec);
+    DWC_ASSERT_OK(translated);
+    EXPECT_EQ(CountOccurrences(*translated, *view_clerks), 1u)
+        << (*translated)->ToString();
+
+    Result<Warehouse> warehouse = Warehouse::Load(shared_spec, context.db);
+    DWC_ASSERT_OK(warehouse);
+    EvalStats stats;
+    Result<Relation> via_warehouse = warehouse->AnswerQuery(query, &stats);
+    DWC_ASSERT_OK(via_warehouse);
+    EXPECT_EQ(stats.differences, 1u);
+    EXPECT_EQ(stats.pushdown_differences, 1u);
+    Result<Relation> direct = Source(context.db).AnswerQuery(query);
+    DWC_ASSERT_OK(direct);
+    EXPECT_EQ(direct->size(), 40u);
+    EXPECT_TRUE(testing::RelationsEqual(*via_warehouse, *direct));
+  }
+}
+
 }  // namespace
 }  // namespace dwc
