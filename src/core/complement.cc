@@ -341,6 +341,7 @@ Result<ComplementResult> ComputeComplement(const std::vector<ViewDef>& views,
     }
     result.inverses[info.base] = info.inverse;
   }
+  result.views = std::move(psj_views);
   return result;
 }
 

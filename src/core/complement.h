@@ -60,6 +60,9 @@ struct ComplementResult {
   std::vector<ViewDef> complements;
   // base relation name -> reconstruction expression over warehouse names.
   std::map<std::string, ExprRef> inverses;
+  // The views V in PSJ normal form, in definition order, as the
+  // construction analysed them.
+  std::vector<PsjView> views;
 
   const BaseComplementInfo* FindBase(const std::string& base) const;
 };

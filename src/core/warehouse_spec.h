@@ -30,6 +30,9 @@ class WarehouseSpec {
 
   // The user-defined warehouse views V.
   const std::vector<ViewDef>& views() const { return views_; }
+  // The same views in PSJ normal form (bases, visible attributes,
+  // conjoined selection), analysed once when the spec was built.
+  const std::vector<PsjView>& psj_views() const { return complement_.views; }
   // The computed complement C (provably empty members omitted).
   const std::vector<ViewDef>& complements() const {
     return complement_.complements;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "algebra/evaluator.h"
+#include "algebra/optimizer.h"
+#include "algebra/rewriter.h"
+#include "algebra/simplifier.h"
 #include "core/query_translation.h"
 #include "core/warehouse_spec.h"
 #include "parser/parser.h"
@@ -261,6 +264,85 @@ TEST_F(QueryTranslationTest, AntiQueryReadsTheViewOnce) {
     DWC_ASSERT_OK(direct);
     EXPECT_EQ(direct->size(), 40u);
     EXPECT_TRUE(testing::RelationsEqual(*via_warehouse, *direct));
+  }
+}
+
+// The plan TranslateQuery gave before view matching: W^-1 substituted for
+// every base name, then the same simplify / push-down / simplify passes.
+ExprRef InvertedPlan(const ExprRef& query, const WarehouseSpec& spec) {
+  SchemaResolver resolver = spec.WarehouseResolver();
+  ExprRef plan = Simplify(SubstituteNames(query, spec.inverses()), &resolver);
+  plan = PushDownSelections(plan, resolver);
+  return Simplify(plan, &resolver);
+}
+
+TEST(QueryTranslationViewMatchingTest, ViewDefinitionsReadTheView) {
+  struct Case {
+    const char* view;
+    const char* query;
+    const char* plan;  // Empty: the inverted plan.
+  };
+  const Case cases[] = {
+      // Figure 1: Sold = Sale JOIN Emp keeps every column.
+      {"VIEW Sold AS Sale JOIN Emp;\n", "Sale join Emp", "Sold"},
+      {"VIEW Sold AS Sale JOIN Emp;\n", "Emp join Sale",
+       "project[clerk, age, item](Sold)"},
+      {"VIEW Sold AS Sale JOIN Emp;\n",
+       "project[age](select[item = 'PC'](Sale) join Emp)",
+       "project[age](select[item = 'PC'](Sold))"},
+      // Sold drops age, so a block that projects age keeps its inverse...
+      {"VIEW Sold AS PROJECT[item, clerk](Sale JOIN Emp);\n",
+       "project[item, age](Sale join Emp)", ""},
+      // ...and one within Sold's columns reads Sold.
+      {"VIEW Sold AS PROJECT[item, clerk](Sale JOIN Emp);\n",
+       "project[clerk, item](Sale join Emp)", "project[clerk, item](Sold)"},
+      // age < 40 does not imply Sold's age < 30; age < 25 does.
+      {"VIEW Sold AS SELECT[age < 30](Sale JOIN Emp);\n",
+       "select[age < 40](Sale join Emp)", ""},
+      {"VIEW Sold AS SELECT[age < 30](Sale JOIN Emp);\n",
+       "select[age < 25](Sale join Emp)", "select[age < 25](Sold)"},
+      // Sold applied the block's own selection before dropping age.
+      {"VIEW Sold AS PROJECT[item, clerk](SELECT[age < 30](Sale JOIN Emp));\n",
+       "project[item](select[age < 30](Sale join Emp))",
+       "project[item](Sold)"},
+  };
+  for (bool with_constraints : {true, false}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(StrCat(c.query, " over ", c.view,
+                          with_constraints ? "with" : "without",
+                          " the inclusion dependency"));
+      std::string script = Figure1Script(with_constraints);
+      script.replace(script.find("VIEW"), std::string::npos, c.view);
+      ScriptContext context = MustRun(script);
+      Result<WarehouseSpec> spec =
+          SpecifyWarehouse(context.catalog, context.views);
+      DWC_ASSERT_OK(spec);
+      auto shared_spec =
+          std::make_shared<WarehouseSpec>(std::move(spec).value());
+      Result<ExprRef> query = ParseExpr(c.query);
+      DWC_ASSERT_OK(query);
+
+      Result<ExprRef> translated = TranslateQuery(*query, *shared_spec);
+      DWC_ASSERT_OK(translated);
+      if (*c.plan == '\0') {
+        EXPECT_TRUE(
+            (*translated)->Equals(*InvertedPlan(*query, *shared_spec)))
+            << (*translated)->ToString();
+      } else {
+        EXPECT_EQ((*translated)->ToString(), c.plan);
+      }
+
+      Result<Warehouse> warehouse = Warehouse::Load(shared_spec, context.db);
+      DWC_ASSERT_OK(warehouse);
+      Result<Relation> via_warehouse = warehouse->AnswerQuery(*query);
+      DWC_ASSERT_OK(via_warehouse);
+      Result<Relation> direct = Source(context.db).AnswerQuery(*query);
+      DWC_ASSERT_OK(direct);
+      EXPECT_TRUE(testing::RelationsEqual(*via_warehouse, *direct));
+      // The answer keeps the query's own column order.
+      EXPECT_TRUE(via_warehouse->schema() == direct->schema())
+          << via_warehouse->schema().ToString();
+    }
   }
 }
 
