@@ -11,7 +11,6 @@
 
 #include "aggregate/aggregate_view.h"
 #include "bench/bench_common.h"
-#include "exec/thread_pool.h"
 #include "util/string_util.h"
 #include "workload/star_schema.h"
 #include "workload/update_stream.h"
@@ -180,8 +179,7 @@ int Main(int argc, char** argv) {
     }
     BenchRow row;
     row.name = StrCat("incremental_aggregate/batch=", batch);
-    row.threads = ThreadPool::ResolveThreads(
-        fixture.warehouse.evaluator_options().num_threads);
+    row.threads = 1;
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["tuples_s"] =
         row.latency.ops_per_sec * static_cast<double>(batch);
@@ -197,8 +195,7 @@ int Main(int argc, char** argv) {
     row.name = "reaggregate_scratch";
     // AggregateView::Initialize evaluates with the default options, which
     // are also the warehouse's.
-    row.threads = ThreadPool::ResolveThreads(
-        fixture.warehouse.evaluator_options().num_threads);
+    row.threads = 1;
     row.latency = SummarizeLatencies(MeasureLatenciesUs(5, [&] {
       Check(view.Initialize(env), "init");
       benchmark::DoNotOptimize(view.materialized());
@@ -241,8 +238,7 @@ int Main(int argc, char** argv) {
     }
     BenchRow row;
     row.name = StrCat("delete_heavy/batch=", batch);
-    row.threads = ThreadPool::ResolveThreads(
-        fixture.warehouse.evaluator_options().num_threads);
+    row.threads = 1;
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["tuples_s"] =
         row.latency.ops_per_sec * static_cast<double>(batch);

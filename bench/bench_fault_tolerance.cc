@@ -15,7 +15,6 @@
 #include <chrono>
 
 #include "bench/bench_common.h"
-#include "exec/thread_pool.h"
 #include "util/string_util.h"
 #include "warehouse/channel.h"
 #include "warehouse/ingest.h"
@@ -172,8 +171,7 @@ void JsonRow(int rate_pct, size_t iterations, std::vector<BenchRow>* rows) {
   BenchRow row;
   row.name = direct ? "direct_refresh"
                     : StrCat("faulty_refresh/rate_pct=", rate_pct);
-  row.threads =
-      ThreadPool::ResolveThreads(warehouse.evaluator_options().num_threads);
+  row.threads = 1;
   row.latency = SummarizeLatencies(std::move(latencies));
   row.counters["src_queries"] = static_cast<double>(source.query_count());
   if (!direct) {

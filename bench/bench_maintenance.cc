@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "exec/thread_pool.h"
 #include "util/string_util.h"
 
 namespace dwc {
@@ -131,8 +130,7 @@ void JsonRow(MaintenanceStrategy strategy, const char* label, size_t batch,
   LatencyStats stats = SummarizeLatencies(std::move(latencies));
   BenchRow row;
   row.name = StrCat(label, "/batch=", batch, "/fact=", fact);
-  row.threads =
-      ThreadPool::ResolveThreads(warehouse.evaluator_options().num_threads);
+  row.threads = 1;
   row.latency = stats;
   row.counters["tuples_s"] =
       stats.ops_per_sec * static_cast<double>(batch);

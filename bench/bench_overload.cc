@@ -19,8 +19,8 @@
 // deadline), cancelled (mid-query deadline), and for the governed storm the
 // maximum deadline overrun — how far past its deadline a cancelled query
 // ran before the evaluator's next check point caught it. Cancellation is
-// cooperative, so the overrun should stay within one morsel/operator of the
-// deadline, not one query.
+// cooperative, so the overrun should stay within one check interval of one
+// operator (kCancelCheckTuples rows), not one query.
 //
 // With --json, writes BENCH_overload.json. CI's perf-smoke job gates the
 // idle and governed rows on ops_per_sec AND p99_us against the committed

@@ -18,7 +18,6 @@
 #include "algebra/evaluator.h"
 #include "bench/bench_common.h"
 #include "core/query_translation.h"
-#include "exec/thread_pool.h"
 #include "parser/parser.h"
 #include "util/string_util.h"
 
@@ -152,8 +151,7 @@ int Main(int argc, char** argv) {
       size_t out = 0;
       BenchRow warehouse;
       warehouse.name = StrCat("answer_warehouse/q", q + 1, "/fact=", fact);
-      warehouse.threads = ThreadPool::ResolveThreads(
-          fixture.warehouse->evaluator_options().num_threads);
+      warehouse.threads = 1;
       warehouse.latency = SummarizeLatencies(MeasureLatenciesUs(15, [&] {
         Relation answer =
             Unwrap(fixture.warehouse->AnswerQuery(query), "answer");
@@ -165,9 +163,7 @@ int Main(int argc, char** argv) {
 
       BenchRow at_source;
       at_source.name = StrCat("answer_source/q", q + 1, "/fact=", fact);
-      // EvalExpr evaluates with the default options.
-      at_source.threads =
-          ThreadPool::ResolveThreads(EvaluatorOptions().num_threads);
+      at_source.threads = 1;
       at_source.latency = SummarizeLatencies(MeasureLatenciesUs(15, [&] {
         Relation answer =
             Unwrap(EvalExpr(*query, fixture.source_env), "answer");

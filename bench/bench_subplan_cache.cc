@@ -20,7 +20,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "exec/thread_pool.h"
 #include "parser/parser.h"
 #include "util/string_util.h"
 
@@ -192,8 +191,7 @@ int Main(int argc, char** argv) {
     double misses = static_cast<double>(after.misses - before.misses);
     BenchRow row;
     row.name = StrCat("repeated_query/budget=", budget);
-    row.threads = ThreadPool::ResolveThreads(
-        fixture.warehouse->evaluator_options().num_threads);
+    row.threads = 1;
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["hits"] = hits;
     row.counters["misses"] = misses;
@@ -244,8 +242,7 @@ int Main(int argc, char** argv) {
     }
     BenchRow row;
     row.name = StrCat("skewed_delta/budget=", budget);
-    row.threads = ThreadPool::ResolveThreads(
-        fixture.warehouse->evaluator_options().num_threads);
+    row.threads = 1;
     row.latency = SummarizeLatencies(std::move(latencies));
     row.counters["hits"] = hits;
     row.counters["misses"] = misses;

@@ -13,7 +13,6 @@
 #include <chrono>
 
 #include "bench/bench_common.h"
-#include "exec/thread_pool.h"
 #include "util/string_util.h"
 
 namespace dwc {
@@ -138,8 +137,7 @@ void JsonRow(bool atomic, size_t batch, size_t iterations,
   }
   BenchRow row;
   row.name = StrCat(atomic ? "atomic" : "sequential", "/batch=", batch);
-  row.threads =
-      ThreadPool::ResolveThreads(warehouse.evaluator_options().num_threads);
+  row.threads = 1;
   row.latency = SummarizeLatencies(std::move(latencies));
   row.counters["src_queries"] = static_cast<double>(source.query_count());
   rows->push_back(std::move(row));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "exec/kernels.h"
 #include "util/string_util.h"
 
 namespace dwc {
@@ -171,6 +170,39 @@ void CollectEqualityConjuncts(const Predicate& predicate,
   }
 }
 
+// The cancellation point inside an operator's row loop: every
+// kCancelCheckTuples rows, charges the tuples added to `out` since the last
+// charge and re-checks the token. Finish() charges the rest. Free when no
+// token is wired.
+class RowMeter {
+ public:
+  RowMeter(const CancelToken* cancel, const Relation& out)
+      : cancel_(cancel), out_(out), charged_(out.size()) {}
+
+  Status Next() {
+    if (cancel_ == nullptr || ++rows_ % kCancelCheckTuples != 0) {
+      return Status::Ok();
+    }
+    DWC_RETURN_IF_ERROR(Finish());
+    return cancel_->Check();
+  }
+
+  Status Finish() {
+    if (cancel_ == nullptr) {
+      return Status::Ok();
+    }
+    const size_t produced = out_.size() - charged_;
+    charged_ = out_.size();
+    return cancel_->Charge(produced);
+  }
+
+ private:
+  const CancelToken* cancel_;
+  const Relation& out_;
+  size_t rows_ = 0;
+  size_t charged_;
+};
+
 }  // namespace
 
 void EvalStats::MergeFrom(const EvalStats& other) {
@@ -179,7 +211,6 @@ void EvalStats::MergeFrom(const EvalStats& other) {
   differences += other.differences;
   pushdown_differences += other.pushdown_differences;
   index_probes += other.index_probes;
-  parallel_kernels += other.parallel_kernels;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   cache_evictions += other.cache_evictions;
@@ -190,7 +221,6 @@ std::string EvalStats::ToString() const {
   return StrCat("joins=", joins, " (pushdown ", pushdown_joins,
                 "), differences=", differences, " (pushdown ",
                 pushdown_differences, "), index_probes=", index_probes,
-                ", parallel_kernels=", parallel_kernels,
                 ", cache=", cache_hits, "/", cache_hits + cache_misses,
                 " hits (", cache_evictions, " evictions), source_reads=",
                 source_reads);
@@ -201,11 +231,10 @@ bool Evaluator::WorthPushdown(size_t actual, size_t estimate) const {
          actual * options_.pushdown_selectivity_factor < estimate;
 }
 
-// Hash-joins two materialized relations (natural join). Large probe sides
-// run morsel-parallel; a large *unstable* build side is additionally built
-// as a partitioned parallel index (a stable side keeps its cached
-// Relation index, whose reuse across refreshes is what makes delta
-// maintenance O(|delta|)).
+// Hash-joins two materialized relations (natural join), building on
+// `right` when it is a stable environment binding: its cached index then
+// serves every later refresh, which is what makes delta maintenance
+// O(|delta|).
 Result<Relation> Evaluator::HashJoin(const Relation& left,
                                      const Relation& right,
                                      bool prefer_build_right) {
@@ -229,37 +258,31 @@ Result<Relation> Evaluator::HashJoin(const Relation& left,
   }
   DWC_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(out_attrs)));
   Relation out(std::move(out_schema));
+  RowMeter meter(options_.cancel, out);
 
   if (join_attrs.empty()) {
     // Cross-product-shaped join (no common attributes) — the pathological
     // translated-query shape the governor exists to bound. Clamp the
-    // up-front reservation to the remaining tuple budget, then check the
-    // token and charge the budget every morsel_size emitted tuples, so a
-    // deadline/budget fires mid-product instead of after |L|x|R| work.
+    // up-front reservation to the remaining tuple budget, and meter every
+    // emitted pair, so a deadline/budget fires mid-product instead of after
+    // |L|x|R| work.
     const size_t product = left.size() * right.size();
     size_t reserve = product;
     if (options_.cancel != nullptr) {
       reserve = std::min(product, options_.cancel->RemainingBudget());
     }
     out.Reserve(reserve);
-    const size_t chunk = options_.morsel_size == 0 ? 1024 : options_.morsel_size;
-    size_t emitted = 0;
     for (const Tuple& lt : left.tuples()) {
       for (const Tuple& rt : right.tuples()) {
-        if (emitted >= chunk) {
-          DWC_RETURN_IF_ERROR(ChargeTuples(emitted));
-          DWC_RETURN_IF_ERROR(CheckCancel());
-          emitted = 0;
-        }
+        DWC_RETURN_IF_ERROR(meter.Next());
         std::vector<Value> values = lt.values();
         for (size_t idx : right_extra) {
           values.push_back(rt.at(idx));
         }
         out.Insert(Tuple(std::move(values)));
-        ++emitted;
       }
     }
-    DWC_RETURN_IF_ERROR(ChargeTuples(emitted));
+    DWC_RETURN_IF_ERROR(meter.Finish());
     return out;
   }
 
@@ -269,129 +292,61 @@ Result<Relation> Evaluator::HashJoin(const Relation& left,
   const Relation& probe = build_right ? left : right;
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> probe_key,
                        probe.schema().IndicesOf(join_attrs));
-  const ExecOptions exec = options_.exec();
-
-  if (!exec.ShouldParallelize(probe.size())) {
-    const Relation::Index& index = build.GetIndex(join_attrs);
-    // Key/foreign-key joins emit about one output row per probe row.
-    out.Reserve(probe.size());
-    const size_t chunk = exec.morsel_size == 0 ? 1024 : exec.morsel_size;
-    size_t since_check = 0;
-    for (const Tuple& pt : probe.tuples()) {
-      if (++since_check >= chunk) {
-        DWC_RETURN_IF_ERROR(CheckCancel());
-        since_check = 0;
-      }
-      auto bucket = index.find(ProjectedRef(pt, probe_key));
-      if (bucket == index.end()) {
-        continue;
-      }
-      for (const Tuple* bt : bucket->second) {
-        out.Insert(ConcatMatch(pt, *bt, build_right, right_extra));
-      }
+  const Relation::Index& index = build.GetIndex(join_attrs);
+  // Key/foreign-key joins emit about one output row per probe row.
+  out.Reserve(probe.size());
+  for (const Tuple& pt : probe.tuples()) {
+    DWC_RETURN_IF_ERROR(meter.Next());
+    auto bucket = index.find(ProjectedRef(pt, probe_key));
+    if (bucket == index.end()) {
+      continue;
     }
-    DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
-    return out;
-  }
-
-  ++stats_.parallel_kernels;
-  const std::vector<const Tuple*> probe_tuples = SnapshotTuples(probe);
-  // A stable build side reuses (and, once, builds) the relation's cached
-  // index — shared lock-free by all probe morsels. An unstable side would
-  // pay a full serial build on a throwaway relation, so it takes the
-  // partitioned parallel build instead.
-  const bool cached_build = prefer_build_right && build_right;
-  std::optional<PartitionedIndex> transient;
-  const Relation::Index* cached = nullptr;
-  if (cached_build) {
-    cached = &build.GetIndex(join_attrs);
-  } else {
-    DWC_ASSIGN_OR_RETURN(std::vector<size_t> build_key,
-                         build.schema().IndicesOf(join_attrs));
-    transient.emplace(
-        PartitionedIndex::Build(SnapshotTuples(build), build_key, exec));
-  }
-  auto probe_morsel = [&](MorselRange range,
-                          std::vector<Tuple>* buffer) -> Status {
-    for (size_t i = range.begin; i < range.end; ++i) {
-      const Tuple& pt = *probe_tuples[i];
-      ProjectedRef key(pt, probe_key);
-      const std::vector<const Tuple*>* bucket;
-      if (cached != nullptr) {
-        auto it = cached->find(key);
-        bucket = it == cached->end() ? nullptr : &it->second;
-      } else {
-        bucket = transient->Find(key);
-      }
-      if (bucket == nullptr) {
-        continue;
-      }
-      for (const Tuple* bt : *bucket) {
-        buffer->push_back(ConcatMatch(pt, *bt, build_right, right_extra));
-      }
+    for (const Tuple* bt : bucket->second) {
+      out.Insert(ConcatMatch(pt, *bt, build_right, right_extra));
     }
-    return Status::Ok();
-  };
-  DWC_RETURN_IF_ERROR(
-      ParallelProduce(probe_tuples.size(), exec, probe_morsel, &out));
+  }
+  DWC_RETURN_IF_ERROR(meter.Finish());
   return out;
 }
 
-// Filters `in` through `predicate` into `out` (schemas equal), with the
-// predicate evaluated morsel-parallel for large inputs.
+// Filters `in` through `predicate` into `out` (schemas equal).
 Status Evaluator::FilterInto(const Relation& in, const Predicate& predicate,
                              Relation* out) {
-  const ExecOptions exec = options_.exec();
-  if (exec.ShouldParallelize(in.size())) {
-    ++stats_.parallel_kernels;
-  }
-  const std::vector<const Tuple*> tuples = SnapshotTuples(in);
   const Schema& schema = in.schema();
-  auto filter_morsel = [&](MorselRange range,
-                           std::vector<Tuple>* buffer) -> Status {
-    for (size_t i = range.begin; i < range.end; ++i) {
-      DWC_ASSIGN_OR_RETURN(bool keep, predicate.Eval(schema, *tuples[i]));
-      if (keep) {
-        buffer->push_back(*tuples[i]);
-      }
+  RowMeter meter(options_.cancel, *out);
+  for (const Tuple& tuple : in.tuples()) {
+    DWC_RETURN_IF_ERROR(meter.Next());
+    DWC_ASSIGN_OR_RETURN(bool keep, predicate.Eval(schema, tuple));
+    if (keep) {
+      out->Insert(tuple);
     }
-    return Status::Ok();
-  };
-  return ParallelProduce(tuples.size(), exec, filter_morsel, out);
+  }
+  return meter.Finish();
 }
 
 // Projects `in` onto `indices` into `out` (whose schema already matches) in
-// one serial pass: each input tuple's projection probes `out` in place, and
-// a tuple is built only for a key `out` does not hold yet. A projection
-// usually keeps far fewer distinct rows than it reads, so this does less
-// work than building every projected tuple in parallel and deduplicating
-// them in a serial merge. The token is checked, and the new output tuples
-// charged, once per morsel.
+// one pass: each input tuple's projection probes `out` in place, and a
+// tuple is built only for a key `out` does not hold yet. A projection
+// usually keeps far fewer distinct rows than it reads, so only the new
+// output tuples are charged to the budget.
 Status Evaluator::ProjectInto(const Relation& in,
                               const std::vector<size_t>& indices,
                               Relation* out) {
-  const size_t chunk = options_.morsel_size == 0 ? 1024 : options_.morsel_size;
   out->Reserve(in.size());
-  size_t seen = 0;
-  size_t uncharged = 0;
+  RowMeter meter(options_.cancel, *out);
   for (const Tuple& tuple : in.tuples()) {
-    if (seen++ % chunk == 0) {
-      DWC_RETURN_IF_ERROR(ChargeTuples(uncharged));
-      DWC_RETURN_IF_ERROR(CheckCancel());
-      uncharged = 0;
-    }
+    DWC_RETURN_IF_ERROR(meter.Next());
     ProjectedRef key(tuple, indices);
     if (!out->Contains(key)) {
       out->Insert(key.ToTuple());
-      ++uncharged;
     }
   }
-  return ChargeTuples(uncharged);
+  return meter.Finish();
 }
 
-// Set difference left - right. Schemas must share attribute names. Large
-// left sides run as a parallel anti-join membership scan; small ones keep
-// the copy-then-erase path.
+// Set difference left - right, as one membership scan over the left side.
+// Schemas must share attribute names; the right side is aligned to the
+// left's column order once, up front.
 Result<Relation> Evaluator::SubtractInto(const Relation& left,
                                          const Relation& right) {
   if (!left.schema().SameAttrsAs(right.schema())) {
@@ -399,25 +354,6 @@ Result<Relation> Evaluator::SubtractInto(const Relation& left,
         StrCat("difference operands have different schemas: ",
                left.schema().ToString(), " vs ", right.schema().ToString()));
   }
-  const ExecOptions exec = options_.exec();
-  if (!exec.ShouldParallelize(left.size())) {
-    Relation out(left);
-    if (right.schema() == out.schema()) {
-      for (const Tuple& tuple : right.tuples()) {
-        out.Erase(tuple);
-      }
-    } else {
-      DWC_ASSIGN_OR_RETURN(Relation aligned, right.AlignTo(out.schema()));
-      for (const Tuple& tuple : aligned.tuples()) {
-        out.Erase(tuple);
-      }
-    }
-    DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
-    return out;
-  }
-
-  ++stats_.parallel_kernels;
-  // Align the right side once; morsels then do lock-free membership probes.
   const Relation* lookup = &right;
   std::optional<Relation> aligned;
   if (!(right.schema() == left.schema())) {
@@ -425,19 +361,16 @@ Result<Relation> Evaluator::SubtractInto(const Relation& left,
     aligned.emplace(std::move(realigned));
     lookup = &*aligned;
   }
-  const std::vector<const Tuple*> tuples = SnapshotTuples(left);
   Relation out(left.schema());
-  auto subtract_morsel = [&](MorselRange range,
-                             std::vector<Tuple>* buffer) -> Status {
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!lookup->Contains(*tuples[i])) {
-        buffer->push_back(*tuples[i]);
-      }
+  out.Reserve(left.size());
+  RowMeter meter(options_.cancel, out);
+  for (const Tuple& tuple : left.tuples()) {
+    DWC_RETURN_IF_ERROR(meter.Next());
+    if (!lookup->Contains(tuple)) {
+      out.Insert(tuple);
     }
-    return Status::Ok();
-  };
-  DWC_RETURN_IF_ERROR(
-      ParallelProduce(tuples.size(), exec, subtract_morsel, &out));
+  }
+  DWC_RETURN_IF_ERROR(meter.Finish());
   return out;
 }
 
@@ -568,8 +501,8 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
 
 Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr) {
   // Per-operator cancellation point: every node of the plan re-checks the
-  // token before doing its work, bounding overrun to one operator (or one
-  // morsel, inside the kernels) past the deadline.
+  // token before doing its work, and the row loops re-check it every
+  // kCancelCheckTuples rows, bounding overrun past the deadline.
   DWC_RETURN_IF_ERROR(CheckCancel());
   switch (expr.kind()) {
     case Expr::Kind::kBase: {

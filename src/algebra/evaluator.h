@@ -7,8 +7,8 @@
 #include "algebra/expr.h"
 #include "algebra/interner.h"
 #include "algebra/subplan_cache.h"
-#include "exec/kernels.h"
 #include "relational/relation.h"
+#include "runtime/cancel.h"
 #include "util/result.h"
 
 namespace dwc {
@@ -23,8 +23,11 @@ namespace dwc {
 // expressions their O(|delta|) behaviour after the first refresh.
 struct EvaluatorOptions {
   // Disables the semijoin/difference pushdown fast paths (plain bottom-up
-  // evaluation). Exists for the ablation benchmark
-  // (bench/bench_pushdown_ablation.cc) and for debugging.
+  // evaluation). Warehouse::MaterializeFrom turns it off: it evaluates
+  // each view once over full inputs, where pushing keys into a join that
+  // matches nearly all of them costs more than it saves. Also used by the
+  // ablation benchmark (bench/bench_pushdown_ablation.cc) and for
+  // debugging.
   bool enable_pushdown = true;
 
   // Pushdown thresholds (see WorthPushdown): an already-evaluated operand of
@@ -34,15 +37,9 @@ struct EvaluatorOptions {
   size_t pushdown_max_keys = 8;
   size_t pushdown_selectivity_factor = 8;
 
-  // Degree of parallelism for the morsel-driven kernels (parallel hash
-  // join, select, difference): 0 = auto (hardware concurrency),
-  // 1 = exact serial behaviour. Results are SameContentAs-identical at
-  // every thread count — relations are sets, so kernel output order is
-  // immaterial.
+  // Accepted and ignored: kept only for perfbench, which sets it.
+  // Evaluation always runs on the calling thread.
   size_t num_threads = 0;
-  // Tuples per morsel, and the input size below which kernels stay serial.
-  size_t morsel_size = 1024;
-  size_t min_parallel_tuples = 4096;
 
   // Cached-tuples budget of the subplan recycler cache (see
   // algebra/subplan_cache.h). 0 disables memoization entirely, reproducing
@@ -54,22 +51,12 @@ struct EvaluatorOptions {
   // Cooperative cancellation context (borrowed; may be null — the default,
   // which is exactly the ungoverned pipeline). The evaluator checks it at
   // every operator entry and charges every operator's materialized output
-  // tuples against its budget; the morsel kernels it drives check it at
-  // morsel boundaries (ExecOptions::cancel). A fired token surfaces as
-  // DeadlineExceeded / ResourceExhausted / Aborted from Eval/Materialize;
-  // no partial result is ever returned or cached (the subplan cache only
-  // ever sees successful evaluations).
+  // tuples against its budget; the join, filter, difference and projection
+  // row loops re-check and charge every kCancelCheckTuples rows. A fired
+  // token surfaces as DeadlineExceeded / ResourceExhausted / Aborted from
+  // Eval/Materialize; no partial result is ever returned or cached (the
+  // subplan cache only ever sees successful evaluations).
   const CancelToken* cancel = nullptr;
-
-  // The kernel-layer view of these knobs.
-  ExecOptions exec() const {
-    ExecOptions exec_options;
-    exec_options.num_threads = num_threads;
-    exec_options.morsel_size = morsel_size;
-    exec_options.min_parallel_tuples = min_parallel_tuples;
-    exec_options.cancel = cancel;
-    return exec_options;
-  }
 };
 
 // Execution counters, EXPLAIN-style: how an evaluation did its work.
@@ -83,7 +70,8 @@ struct EvalStats {
   size_t pushdown_differences = 0;
   // Index key lookups performed against base relations by pushed filters.
   size_t index_probes = 0;
-  // Operator instances that took a morsel-driven parallel path.
+  // Always 0: kept only for perfbench, which reports it. No operator runs
+  // in parallel.
   size_t parallel_kernels = 0;
   // Subplan-cache outcomes: memoized results recycled / evaluated fresh /
   // entries evicted to hold the tuple budget. All zero when the cache is
@@ -97,8 +85,7 @@ struct EvalStats {
   size_t source_reads = 0;
 
   // Accumulates `other` into this (all counters add). The warehouse uses
-  // this to fold the per-task evaluator stats of a parallel refresh into
-  // one report.
+  // this to fold the stats of a refresh's evaluators into one report.
   void MergeFrom(const EvalStats& other);
 
   std::string ToString() const;
@@ -176,12 +163,9 @@ class Evaluator {
                                       : options_.cancel->Charge(tuples);
   }
 
-  // Kernels. HashJoin, FilterInto and SubtractInto are morsel-driven and
-  // fall back to the serial path for small inputs or num_threads == 1;
-  // ProjectInto is always one serial project-and-deduplicate pass. In
-  // HashJoin, `prefer_build_right` marks the right side as an environment
-  // binding whose cached index should be (re)used instead of a transient
-  // partitioned build.
+  // Kernels. Each row loop is a cancellation point (see RowMeter in
+  // evaluator.cc). In HashJoin, `prefer_build_right` marks the right side
+  // as an environment binding whose cached index should be (re)used.
   Result<Relation> HashJoin(const Relation& left, const Relation& right,
                             bool prefer_build_right);
   Status FilterInto(const Relation& in, const Predicate& predicate,

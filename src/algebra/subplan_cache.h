@@ -33,9 +33,9 @@ namespace dwc {
 // disables the cache entirely (and the evaluator then never consults it,
 // reproducing pre-cache behavior exactly).
 //
-// Thread safety: all operations take one internal mutex — lookups and
-// inserts are serial by design; only cache *misses* are evaluated in
-// parallel (by the caller), never the cache bookkeeping itself.
+// Thread safety: all operations take one internal mutex, because concurrent
+// readers (queries over pinned epochs) and the writer share one cache.
+// Cache *misses* are evaluated by the caller, outside the lock.
 class SubplanCache {
  public:
   // Ordered (uid, version) pairs, one per input relation, in the producer's

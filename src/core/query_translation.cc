@@ -73,59 +73,83 @@ std::vector<std::string> JoinColumns(const std::vector<std::string>& bases,
   return order;
 }
 
-// `block` over the first stored view V = [π_A] σ_q(join of V's bases) that
-// answers it, or null when none does. V answers the block when they join
-// the same bases, V keeps every column the block outputs or selects on,
-// and the block's selection p implies q: then σ_p(E) = σ_p(σ_q(E)) and
+// `block` over the stored view V = [π_A] σ_q(join of V's bases), or null
+// when V does not answer it. V answers the block when they join the same
+// bases, V keeps every column the block outputs or selects on, and the
+// block's selection p implies q: then σ_p(E) = σ_p(σ_q(E)) and
 // π_B π_A = π_B turn the block into [π_B] σ_p(V). When p and q are
 // equivalent, σ_p is dropped, so p may read columns that V dropped.
-ExprRef MatchBlock(const Block& block, const WarehouseSpec& spec) {
-  for (const PsjView& view : spec.psj_views()) {
-    if (view.bases.size() != block.bases.size() ||
-        !std::all_of(block.bases.begin(), block.bases.end(),
-                     [&view](const std::string& base) {
-                       return view.InvolvesBase(base);
-                     })) {
-      continue;
-    }
-    // Without a projection the block outputs every join column.
-    if (block.projection == nullptr ? !view.is_sj
-                                    : !AllIn(*block.projection, view.attrs)) {
-      continue;
-    }
-    if (view.predicate->kind() != Predicate::Kind::kTrue &&
-        !Implies(block.predicate != nullptr ? block.predicate
-                                            : Predicate::True(),
-                 view.predicate)) {
-      continue;
-    }
-    ExprRef rewritten = Expr::Base(view.name);
-    if (block.predicate != nullptr) {
-      const AttrSet selected = block.predicate->Attributes();
-      if (AllIn(selected, view.attrs)) {
-        rewritten = Expr::Select(block.predicate, rewritten);
-      } else if (!AllIn(selected, JoinColumns(block.bases, spec.catalog())) ||
-                 !Implies(view.predicate, block.predicate)) {
-        // p reads a column V dropped, and V's own selection does not
-        // already apply it (or p reads a column no base has: the query is
-        // ill-typed, and evaluating it reports that).
-        continue;
-      }
-    }
-    if (block.projection != nullptr) {
-      return Expr::Project(*block.projection, rewritten);
-    }
-    // Keep the query's column order.
-    std::vector<std::string> order = JoinColumns(block.bases, spec.catalog());
-    const Schema& schema = *spec.FindWarehouseSchema(view.name);
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (schema.attribute(i).name != order[i]) {
-        return Expr::Project(std::move(order), rewritten);
-      }
-    }
-    return rewritten;
+ExprRef MatchView(const Block& block, const PsjView& view,
+                  const WarehouseSpec& spec) {
+  if (view.bases.size() != block.bases.size() ||
+      !std::all_of(block.bases.begin(), block.bases.end(),
+                   [&view](const std::string& base) {
+                     return view.InvolvesBase(base);
+                   })) {
+    return nullptr;
   }
-  return nullptr;
+  // Without a projection the block outputs every join column.
+  if (block.projection == nullptr ? !view.is_sj
+                                  : !AllIn(*block.projection, view.attrs)) {
+    return nullptr;
+  }
+  if (view.predicate->kind() != Predicate::Kind::kTrue &&
+      !Implies(block.predicate != nullptr ? block.predicate
+                                          : Predicate::True(),
+               view.predicate)) {
+    return nullptr;
+  }
+  ExprRef rewritten = Expr::Base(view.name);
+  if (block.predicate != nullptr) {
+    const AttrSet selected = block.predicate->Attributes();
+    if (AllIn(selected, view.attrs)) {
+      rewritten = Expr::Select(block.predicate, rewritten);
+    } else if (!AllIn(selected, JoinColumns(block.bases, spec.catalog())) ||
+               !Implies(view.predicate, block.predicate)) {
+      // p reads a column V dropped, and V's own selection does not
+      // already apply it (or p reads a column no base has: the query is
+      // ill-typed, and evaluating it reports that).
+      return nullptr;
+    }
+  }
+  if (block.projection != nullptr) {
+    return Expr::Project(*block.projection, rewritten);
+  }
+  // Keep the query's column order.
+  std::vector<std::string> order = JoinColumns(block.bases, spec.catalog());
+  const Schema& schema = *spec.FindWarehouseSchema(view.name);
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (schema.attribute(i).name != order[i]) {
+      return Expr::Project(std::move(order), rewritten);
+    }
+  }
+  return rewritten;
+}
+
+// `block` over the best stored view that answers it, or null when none
+// does. Among the views that answer it, the first in definition order whose
+// selection implies every other's wins — the most selective view, which
+// holds the fewest rows; when no view's selection implies all the others',
+// the first one wins. Implies reads no state, so a cached plan stays valid.
+ExprRef MatchBlock(const Block& block, const WarehouseSpec& spec) {
+  std::vector<std::pair<const PsjView*, ExprRef>> candidates;
+  for (const PsjView& view : spec.psj_views()) {
+    if (ExprRef rewritten = MatchView(block, view, spec)) {
+      candidates.emplace_back(&view, std::move(rewritten));
+    }
+  }
+  for (const auto& [view, rewritten] : candidates) {
+    if (std::all_of(candidates.begin(), candidates.end(),
+                    [view = view](const auto& other) {
+                      return other.first == view ||
+                             other.first->predicate->kind() ==
+                                 Predicate::Kind::kTrue ||
+                             Implies(view->predicate, other.first->predicate);
+                    })) {
+      return rewritten;
+    }
+  }
+  return candidates.empty() ? nullptr : candidates.front().second;
 }
 
 // MatchViews on `expr`. Sets `*block` when `expr` itself is in the normal

@@ -1,65 +1,21 @@
 #ifndef DWC_EXEC_THREAD_POOL_H_
 #define DWC_EXEC_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace dwc {
 
-// A shared worker pool for morsel-driven parallel execution.
-//
-// The only synchronization primitive operators need is ParallelFor, which is
-// *cooperative*: the calling thread always participates, pool workers assist
-// when free, and a caller never blocks waiting for a helper to start. That
-// makes nested calls (a parallel warehouse refresh whose per-view evaluations
-// run parallel join kernels) deadlock-free by construction — in the worst
-// case the caller simply executes every iteration itself.
-//
-// Work distribution is a shared atomic cursor over iteration indices: each
-// participant claims the next unclaimed index until the range is drained,
-// which is the morsel-driven scheduling discipline (threads steal morsels
-// from a shared pile instead of owning fixed ranges), so a slow morsel never
-// stalls the rest of the range.
+// Kept only for perfbench, which reports the shared pool's worker count.
+// The engine evaluates and refreshes on the calling thread and starts no
+// thread of its own, so the pool has no workers.
 class ThreadPool {
  public:
-  // `num_workers` helper threads (callers add themselves on top). 0 is valid:
-  // every ParallelFor degrades to inline serial execution.
-  explicit ThreadPool(size_t num_workers);
-  ~ThreadPool();
+  size_t worker_count() const { return 0; }
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  size_t worker_count() const { return workers_.size(); }
-
-  // Runs body(i) for every i in [0, n) using the calling thread plus up to
-  // (max_threads - 1) pool workers. Returns when every iteration completed.
-  // With max_threads <= 1 (or n <= 1) the loop runs inline on the caller,
-  // bit-for-bit the serial behaviour. `body` must be safe to invoke
-  // concurrently from distinct threads for distinct indices.
-  void ParallelFor(size_t n, size_t max_threads,
-                   const std::function<void(size_t)>& body);
-
-  // The process-wide pool, sized for the hardware. Created on first use.
-  static ThreadPool& Shared();
-
-  // Resolves an EvaluatorOptions-style thread count: 0 means "auto"
-  // (hardware_concurrency, at least 1).
-  static size_t ResolveThreads(size_t requested);
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable wake_;
-  std::deque<std::function<void()>> queue_;
-  bool stopping_ = false;
+  static ThreadPool& Shared() {
+    static ThreadPool pool;
+    return pool;
+  }
 };
 
 }  // namespace dwc

@@ -28,10 +28,10 @@ namespace dwc {
 // Thread safety: concurrent const access (tuples(), Contains(), GetIndex()
 // and probing the returned index) is safe — lazy index construction is
 // internally serialized. Mutation (Insert/Erase/Clear/assignment) requires
-// external serialization against all other access, which is how the parallel
-// evaluator uses relations: shared operands are read-only for the duration
-// of an evaluation, and all mutation happens in a single-threaded commit
-// phase.
+// external serialization against all other access, which is how the
+// warehouse uses relations: concurrent readers evaluate queries over a
+// pinned epoch's read-only relations while the writer mutates only
+// relations no reader can see, or holds the commit lock.
 class Relation {
  public:
   // Tuples equal under TupleHash/TupleEq are stored once. Both containers

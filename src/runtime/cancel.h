@@ -12,15 +12,21 @@
 
 namespace dwc {
 
+// Rows an operator's loop handles between two cancellation checks, and
+// between two budget charges: a deadline or budget is never overrun by more
+// than this many rows of one operator's work.
+inline constexpr size_t kCancelCheckTuples = 1024;
+
 // Cooperative cancellation context for one governed operation (typically one
 // query): a wall-clock deadline, an external cancel flag, and a materialized-
 // tuple budget, checked together at every cancellation point.
 //
-// The token is shared by every kernel morsel and evaluator operator working
-// on the operation: the exec layer checks it at morsel boundaries
-// (ExecOptions::cancel), the evaluator per operator (EvaluatorOptions::
-// cancel). All members are lock-free; Charge/Check may race freely across
-// the pool's worker threads. The token only *reports* — discarding partial
+// The evaluator checks the token at every operator entry and, inside the
+// row loops of its join, filter, difference and projection operators, every
+// kCancelCheckTuples rows (EvaluatorOptions::cancel). Evaluation runs on the
+// calling thread, but Cancel() may come from any other thread — a
+// disconnecting client, the governor, a test — so the flag and the charged
+// total are atomics. The token only *reports* — discarding partial
 // work, releasing snapshot pins and keeping the subplan cache clean are the
 // callers' obligations (error propagation + RAII make all three automatic;
 // see DESIGN.md §13).
@@ -93,7 +99,7 @@ class CancelToken {
 
   // The cancellation point: cancel flag first (free), then budget (one
   // atomic load), then the deadline (one clock read — still cheap next to
-  // a 1024-tuple morsel).
+  // the kCancelCheckTuples rows between two checks).
   Status Check() const {
     if (cancelled()) {
       return Status::Aborted("query cancelled by caller");

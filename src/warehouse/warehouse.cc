@@ -5,7 +5,6 @@
 
 #include "algebra/evaluator.h"
 #include "core/query_translation.h"
-#include "exec/thread_pool.h"
 #include "util/string_util.h"
 
 namespace dwc {
@@ -93,8 +92,14 @@ Status Warehouse::MaterializeFrom(const Environment& base_env) {
   // materialize.
   Environment env = base_env;
   Database fresh;
+  // Each view is evaluated once over full inputs, where pushdown does not
+  // pay: in a key/foreign-key join nearly every pushed key matches, so
+  // probing the other side key by key costs more than one hash join.
+  EvaluatorOptions options = evaluator_options_;
+  options.enable_pushdown = false;
   for (const ViewDef& view : spec_->AllWarehouseViews()) {
-    Evaluator evaluator = MakeEvaluator(&env);
+    Evaluator evaluator(&env, options, spec_->interner().get(),
+                        subplan_cache_.get());
     Result<Relation> rel = evaluator.Materialize(*view.expr);
     if (!rel.ok()) {
       return rel.status();
@@ -253,76 +258,36 @@ Status Warehouse::ApplyPlanned(
   // Everything fallible (evaluation, relation lookup, schema alignment)
   // happens in this phase, before the first mutation — the commit phase
   // below cannot fail on the delta's account.
-  //
-  // The per-relation maintenance expressions are independent reads of the
-  // old state, so they run as pool tasks (one evaluator each, stats merged
-  // afterwards). The crash-injection hook steps are hoisted serially in
-  // front: evaluation is side-effect-free, so firing the hooks up front
-  // preserves the exact serial step numbering and abort semantics.
   struct Pending {
     std::string relation;
     Relation* target = nullptr;
     Relation plus;
     Relation minus;
   };
-  struct PlanItem {
-    const std::string* relation;
-    const DeltaPair* pair;
+  std::vector<Pending> pending;
+  pending.reserve(per_relation_plan.size());
+  Evaluator evaluator = MakeEvaluator(&env);
+  auto evaluate = [&]() -> Status {
+    for (const auto& [relation, pair] : per_relation_plan) {
+      DWC_RETURN_IF_ERROR(HookStep());
+      Pending& p = pending.emplace_back();
+      p.relation = relation;
+      p.target = state_.FindMutableRelation(relation);
+      if (p.target == nullptr) {
+        return Status::Internal(
+            StrCat("warehouse relation '", relation, "' missing"));
+      }
+      DWC_ASSIGN_OR_RETURN(Relation plus, evaluator.Materialize(*pair.plus));
+      DWC_ASSIGN_OR_RETURN(p.plus, plus.AlignTo(p.target->schema()));
+      DWC_ASSIGN_OR_RETURN(Relation minus,
+                           evaluator.Materialize(*pair.minus));
+      DWC_ASSIGN_OR_RETURN(p.minus, minus.AlignTo(p.target->schema()));
+    }
+    return Status::Ok();
   };
-  std::vector<PlanItem> items;
-  items.reserve(per_relation_plan.size());
-  for (const auto& [relation, pair] : per_relation_plan) {
-    items.push_back(PlanItem{&relation, &pair});
-  }
-  std::vector<Pending> pending(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    DWC_RETURN_IF_ERROR(HookStep());
-    pending[i].relation = *items[i].relation;
-    pending[i].target = state_.FindMutableRelation(*items[i].relation);
-    if (pending[i].target == nullptr) {
-      return Status::Internal(
-          StrCat("warehouse relation '", *items[i].relation, "' missing"));
-    }
-  }
-  std::vector<Status> statuses(items.size(), Status::Ok());
-  std::vector<EvalStats> task_stats(items.size());
-  ThreadPool::Shared().ParallelFor(
-      items.size(), evaluator_options_.exec().ResolvedThreads(),
-      [&](size_t i) {
-        // Tasks share the warehouse subplan cache: lookups/inserts are
-        // serialized inside the cache, cache misses evaluate in parallel.
-        Evaluator task_evaluator = MakeEvaluator(&env);
-        auto eval_one = [&](const ExprRef& expr,
-                            Relation* out) -> Status {
-          Result<Relation> rel = task_evaluator.Materialize(*expr);
-          if (!rel.ok()) {
-            return rel.status();
-          }
-          Result<Relation> aligned =
-              rel->AlignTo(pending[i].target->schema());
-          if (!aligned.ok()) {
-            return aligned.status();
-          }
-          *out = std::move(aligned).value();
-          return Status::Ok();
-        };
-        Status status = eval_one(items[i].pair->plus, &pending[i].plus);
-        if (status.ok()) {
-          status = eval_one(items[i].pair->minus, &pending[i].minus);
-        }
-        statuses[i] = std::move(status);
-        task_stats[i] = task_evaluator.stats();
-      });
-  {
-    EvalStats merged;
-    for (const EvalStats& stats : task_stats) {
-      merged.MergeFrom(stats);
-    }
-    MergeIntegrateStats(merged);
-  }
-  for (const Status& status : statuses) {
-    DWC_RETURN_IF_ERROR(status);
-  }
+  Status evaluated = evaluate();
+  MergeIntegrateStats(evaluator.stats());
+  DWC_RETURN_IF_ERROR(evaluated);
 
   // Summary tables: derive (and cache) the exact deltas of each aggregate's
   // source expression with respect to the changed warehouse relations,
@@ -746,49 +711,11 @@ Result<Relation> Warehouse::ReconstructBase(const std::string& name) const {
 }
 
 Result<Database> Warehouse::ReconstructSources() const {
-  // Each base's inverse expression reads the warehouse state independently,
-  // so the per-relation reconstructions run as pool tasks; the results are
-  // installed serially in catalog order afterwards, which keeps the output
-  // Database identical to the serial build at any thread count.
-  Environment env = Env();
-  struct Item {
-    const std::string* base;
-    const ExprRef* inverse;
-  };
-  std::vector<Item> items;
-  for (const auto& [base, inverse] : spec_->inverses()) {
-    items.push_back(Item{&base, &inverse});
-  }
-  std::vector<std::optional<Relation>> rels(items.size());
-  std::vector<Status> statuses(items.size(), Status::Ok());
-  ThreadPool::Shared().ParallelFor(
-      items.size(), evaluator_options_.exec().ResolvedThreads(),
-      [&](size_t i) {
-        Evaluator evaluator = MakeEvaluator(&env);
-        Result<Relation> rel = evaluator.Materialize(*(*items[i].inverse));
-        if (!rel.ok()) {
-          statuses[i] = rel.status();
-          return;
-        }
-        const Schema* declared = spec_->catalog().FindSchema(*items[i].base);
-        if (declared != nullptr && !(rel->schema() == *declared)) {
-          Result<Relation> aligned = rel->AlignTo(*declared);
-          if (!aligned.ok()) {
-            statuses[i] = aligned.status();
-            return;
-          }
-          rels[i] = std::move(aligned).value();
-          return;
-        }
-        rels[i] = std::move(rel).value();
-      });
-  for (const Status& status : statuses) {
-    DWC_RETURN_IF_ERROR(status);
-  }
   Database bases(spec_->catalog_ptr());
-  for (size_t i = 0; i < items.size(); ++i) {
-    DWC_RETURN_IF_ERROR(
-        bases.AddRelation(*items[i].base, std::move(*rels[i])));
+  for (const auto& [base, inverse] : spec_->inverses()) {
+    (void)inverse;
+    DWC_ASSIGN_OR_RETURN(Relation rel, ReconstructBase(base));
+    DWC_RETURN_IF_ERROR(bases.AddRelation(base, std::move(rel)));
   }
   return bases;
 }

@@ -191,10 +191,10 @@ class Warehouse {
   void set_validate_deltas(bool validate) { validate_deltas_ = validate; }
   bool validate_deltas() const { return validate_deltas_; }
 
-  // Execution knobs for every evaluator this warehouse constructs (parallel
-  // kernel thread count, morsel sizing, pushdown thresholds, subplan-cache
-  // budget). Takes effect for subsequent operations; neither thread count
-  // nor cache budget ever changes results (see EvaluatorOptions).
+  // Execution knobs for every evaluator this warehouse constructs
+  // (pushdown thresholds, subplan-cache budget). Takes effect for
+  // subsequent operations; the cache budget never changes results (see
+  // EvaluatorOptions).
   void SetEvaluatorOptions(const EvaluatorOptions& options) {
     evaluator_options_ = options;
     subplan_cache_->set_budget(options.cache_budget_tuples);
@@ -204,7 +204,7 @@ class Warehouse {
   }
 
   // Evaluator counters accumulated during the most recent
-  // Integrate/IntegrateTransaction call, with every parallel task's stats
+  // Integrate/IntegrateTransaction call, with every evaluator's stats
   // merged in (EvalStats::MergeFrom). Returns a copy taken under the stats
   // mutex, so it is safe to call from any thread while an integration is
   // in flight (the copy is the last *finished* integration's view).

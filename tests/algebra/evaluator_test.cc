@@ -166,11 +166,10 @@ TEST_F(EvaluatorTest, ComposedExpression) {
 
 // Projection is one fused project-and-deduplicate pass: it charges the
 // token's budget for each distinct output tuple, not for each row read,
-// and checks the token once per morsel.
+// and checks the token every kCancelCheckTuples rows.
 class FusedProjectionTest : public ::testing::Test {
  protected:
   static constexpr int64_t kRows = 100000;
-  static constexpr size_t kMorsel = 64;
 
   void SetUp() override {
     for (int64_t k = 0; k < kRows; ++k) {
@@ -182,7 +181,6 @@ class FusedProjectionTest : public ::testing::Test {
   Result<Relation> Project(const char* attr, const CancelToken* token) {
     EvaluatorOptions options;
     options.cancel = token;
-    options.morsel_size = kMorsel;
     Evaluator evaluator(&env_, options);
     return evaluator.Materialize(*Expr::Project({attr}, Expr::Base("W")));
   }
@@ -206,7 +204,7 @@ TEST_F(FusedProjectionTest, BudgetFiresWithinOneMorsel) {
   Result<Relation> out = Project("k", token.get());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(token->charged_tuples(), budget);
-  EXPECT_LE(token->charged_tuples(), budget + kMorsel);
+  EXPECT_LE(token->charged_tuples(), budget + kCancelCheckTuples);
 }
 
 TEST_F(FusedProjectionTest, DeadlineStopsThePass) {
@@ -214,8 +212,8 @@ TEST_F(FusedProjectionTest, DeadlineStopsThePass) {
   EXPECT_EQ(Project("k", expired.get()).status().code(),
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(expired->charged_tuples(), 0u);
-  // A deadline that passes during the pass is seen at the next morsel
-  // boundary: the pass stops before it has built every output tuple.
+  // A deadline that passes during the pass is seen at the next check
+  // point: the pass stops before it has built every output tuple.
   auto soon = CancelToken::WithDeadline(std::chrono::microseconds(500));
   EXPECT_EQ(Project("k", soon.get()).status().code(),
             StatusCode::kDeadlineExceeded);

@@ -346,5 +346,37 @@ TEST(QueryTranslationViewMatchingTest, ViewDefinitionsReadTheView) {
   }
 }
 
+// Among the stored views that answer a block, the one whose selection
+// implies the others' wins: V3 holds only the X = 4 rows that V1 holds.
+TEST(QueryTranslationViewMatchingTest, MostSelectiveViewWins) {
+  ScriptContext context = MustRun(
+      "CREATE TABLE R(K INT, X INT, KEY(K));\n"
+      "CREATE TABLE S(K INT, Y INT);\n"
+      "INSERT INTO R VALUES (1, 4), (2, 5), (3, 4);\n"
+      "INSERT INTO S VALUES (1, 10), (2, 20), (3, 30), (3, 31);\n"
+      "VIEW V1 AS R JOIN S;\n"
+      "VIEW V3 AS SELECT[X = 4](S JOIN R);\n");
+  Result<WarehouseSpec> spec =
+      SpecifyWarehouse(context.catalog, context.views);
+  DWC_ASSERT_OK(spec);
+  auto shared_spec = std::make_shared<WarehouseSpec>(std::move(spec).value());
+  Result<ExprRef> query = ParseExpr("select[X = 4](S join R)");
+  DWC_ASSERT_OK(query);
+  Result<ExprRef> translated = TranslateQuery(*query, *shared_spec);
+  DWC_ASSERT_OK(translated);
+  // The block's own selection stays over V3, as over any matched view
+  // that keeps the columns it reads.
+  EXPECT_EQ((*translated)->ToString(), "select[X = 4](V3)");
+
+  Result<Warehouse> warehouse = Warehouse::Load(shared_spec, context.db);
+  DWC_ASSERT_OK(warehouse);
+  Result<Relation> via_warehouse = warehouse->AnswerQuery(*query);
+  DWC_ASSERT_OK(via_warehouse);
+  Result<Relation> direct = Source(context.db).AnswerQuery(*query);
+  DWC_ASSERT_OK(direct);
+  EXPECT_TRUE(testing::RelationsEqual(*via_warehouse, *direct));
+  EXPECT_EQ(via_warehouse->size(), 3u);
+}
+
 }  // namespace
 }  // namespace dwc

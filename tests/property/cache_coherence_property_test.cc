@@ -1,8 +1,7 @@
 // Property: the subplan recycler cache is unobservable. Random PSJ
 // workloads with interleaved deltas and translated queries, run with the
-// cache disabled (the pre-cache oracle), with a large budget, with a tiny
-// eviction-thrashing budget, and in combination with the parallel kernels,
-// produce digest-identical warehouse states after every update and
+// cache disabled (the pre-cache oracle), with a large budget and with a
+// tiny eviction-thrashing budget, produce digest-identical warehouse states after every update and
 // digest-identical query answers (column order included — TupleDigest is
 // position-sensitive). And the cache is purely derived state: a durable
 // warehouse resumed from disk starts with a cold cache.
@@ -37,28 +36,19 @@ using ::dwc::testing::MakeCatalog;
 struct CacheConfig {
   const char* name;
   size_t budget;
-  size_t threads;
 };
 
-// The first config is the oracle: cache disabled, serial — byte-for-byte
-// the pre-cache evaluation pipeline.
+// The first config is the oracle: cache disabled — byte-for-byte the
+// pre-cache evaluation pipeline.
 const CacheConfig kConfigs[] = {
-    {"uncached_serial", 0, 1},
-    {"cached_serial", 1 << 20, 1},
-    {"cached_tiny_budget", 48, 1},
-    {"cached_parallel", 1 << 20, 4},
+    {"uncached", 0},
+    {"cached", 1 << 20},
+    {"cached_tiny_budget", 48},
 };
 
 EvaluatorOptions MakeOptions(const CacheConfig& config) {
   EvaluatorOptions options;
   options.cache_budget_tuples = config.budget;
-  options.num_threads = config.threads;
-  if (config.threads > 1) {
-    // Force the kernels to genuinely fan out on small inputs, so cache
-    // misses are evaluated by the parallel paths.
-    options.min_parallel_tuples = 1;
-    options.morsel_size = 16;
-  }
   return options;
 }
 

@@ -52,7 +52,7 @@ TEST(CancelTokenTest, BudgetExhaustionSurfacesAsResourceExhausted) {
   EXPECT_EQ(token->RemainingBudget(), 0u);
   Status over = token->Charge(1);
   EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
-  // Once over, Check() fails too — later morsels fail fast without
+  // Once over, Check() fails too — later check points fail fast without
   // charging anything further.
   EXPECT_EQ(token->Check().code(), StatusCode::kResourceExhausted);
 }

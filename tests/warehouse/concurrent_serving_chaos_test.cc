@@ -71,8 +71,7 @@ class ConcurrentServingChaosTest : public ::testing::TestWithParam<uint64_t> {
     DWC_ASSERT_OK(warehouse);
     warehouse_ = std::make_unique<Warehouse>(std::move(warehouse).value());
     // Readers hammer a small query pool; give the subplan cache a budget so
-    // the (uid, version) keys get exercised across epochs, and let the
-    // parallel kernels fan out under the readers.
+    // the (uid, version) keys get exercised across epochs.
     EvaluatorOptions options;
     options.cache_budget_tuples = 1 << 16;
     warehouse_->SetEvaluatorOptions(options);

@@ -363,6 +363,11 @@ TEST_F(EpochTest, StatsReadableWhileIntegrating) {
       polls.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Start integrating only once the monitor is polling, so the two
+  // overlap even when 20 integrations take less than a scheduler tick.
+  while (polls.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 20; ++i) {
     std::string name = "Clerk" + std::to_string(i);
     DWC_ASSERT_OK(

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/warehouse_spec.h"
 #include "parser/parser.h"
 #include "testing/test_util.h"
+#include "util/checksum.h"
+#include "util/rng.h"
+#include "warehouse/source.h"
 
 namespace dwc {
 namespace {
@@ -144,6 +151,163 @@ TEST_F(WarehouseTest, ComplementNameCollisionRejected) {
   } else {
     EXPECT_EQ(spec.status().code(), StatusCode::kAlreadyExists);
   }
+}
+
+// A scaled Figure 1 without the inclusion dependency, so both complements
+// are nonempty: Emp (kDim keyed clerks), Sale (kFact rows naming the first
+// half of the clerks) and Sold = Sale ⋈ Emp, refreshed in batches.
+class ScaledFigure1Test : public ::testing::Test {
+ protected:
+  static constexpr size_t kDim = 200;
+  static constexpr size_t kFact = 2000;
+  static constexpr size_t kBatch = 64;
+  static constexpr size_t kRefreshes = 3;
+
+  void SetUp() override {
+    catalog_ = std::make_shared<Catalog>();
+    DWC_ASSERT_OK(catalog_->AddRelation(
+        "Emp",
+        Schema({{"clerk", ValueType::kInt}, {"age", ValueType::kInt}})));
+    DWC_ASSERT_OK(catalog_->AddKey("Emp", {"clerk"}));
+    DWC_ASSERT_OK(catalog_->AddRelation(
+        "Sale",
+        Schema({{"item", ValueType::kInt}, {"clerk", ValueType::kInt}})));
+    db_ = Database(catalog_);
+    DWC_ASSERT_OK(db_.AddEmptyRelation("Emp", *catalog_->FindSchema("Emp")));
+    DWC_ASSERT_OK(
+        db_.AddEmptyRelation("Sale", *catalog_->FindSchema("Sale")));
+    Rng rng(11);
+    Relation* emp = db_.FindMutableRelation("Emp");
+    for (size_t i = 0; i < kDim; ++i) {
+      emp->Insert(T({I(static_cast<int64_t>(i)), I(rng.Range(18, 65))}));
+    }
+    Relation* sale = db_.FindMutableRelation("Sale");
+    while (sale->size() < kFact) {
+      sale->Insert(T({I(rng.Range(0, 1 << 20)), I(rng.Range(0, kDim / 2))}));
+    }
+    std::vector<ViewDef> views;
+    views.push_back(
+        ViewDef{"Sold", Expr::Join(Expr::Base("Sale"), Expr::Base("Emp"))});
+    Result<WarehouseSpec> spec = SpecifyWarehouse(catalog_, views);
+    DWC_ASSERT_OK(spec);
+    spec_ = std::make_shared<WarehouseSpec>(std::move(spec).value());
+  }
+
+  // kBatch fresh Sale rows, spread over all the clerks.
+  static UpdateOp MakeBatch(Rng* rng) {
+    UpdateOp op;
+    op.relation = "Sale";
+    while (op.inserts.size() < kBatch) {
+      op.inserts.push_back(
+          T({I(rng->Range(1 << 20, 1 << 24)), I(rng->Range(0, kDim - 1))}));
+    }
+    return op;
+  }
+
+  // The state digest after kRefreshes batches under `strategy`, folded with
+  // the digest of a COUNT-per-clerk summary table over Sold.
+  uint64_t RunWorkload(MaintenanceStrategy strategy) {
+    Source source(db_);
+    Result<Warehouse> warehouse =
+        Warehouse::Load(spec_, source.db(), strategy);
+    DWC_EXPECT_OK(warehouse);
+    AggregateViewDef def;
+    def.name = "SalesPerClerk";
+    def.source = Expr::Base("Sold");
+    def.group_by = {"clerk"};
+    def.aggregates = {AggSpec{AggFunc::kCount, "", "n"}};
+    DWC_EXPECT_OK(warehouse->AddAggregateView(std::move(def)));
+    Rng rng(23);
+    for (size_t i = 0; i < kRefreshes; ++i) {
+      Result<CanonicalDelta> delta = source.Apply(MakeBatch(&rng));
+      DWC_EXPECT_OK(delta);
+      DWC_EXPECT_OK(warehouse->Integrate(*delta));
+    }
+    DWC_EXPECT_OK(CheckConsistency(*warehouse, source.db()));
+    const AggregateView* aggregate = warehouse->FindAggregate("SalesPerClerk");
+    EXPECT_NE(aggregate, nullptr);
+    return StateDigest(warehouse->state()).Combined() ^
+           RelationDigest(aggregate->materialized());
+  }
+
+  std::shared_ptr<Catalog> catalog_;
+  Database db_;
+  std::shared_ptr<WarehouseSpec> spec_;
+};
+
+// Batched refreshes and the aggregate fold land where recomputing from the
+// inverse lands.
+TEST_F(ScaledFigure1Test, IncrementalMatchesRecompute) {
+  EXPECT_EQ(RunWorkload(MaintenanceStrategy::kIncremental),
+            RunWorkload(MaintenanceStrategy::kRecomputeFromInverse));
+}
+
+TEST_F(ScaledFigure1Test, TransactionMatchesRecompute) {
+  auto run = [&](MaintenanceStrategy strategy) {
+    Source source(db_);
+    Result<Warehouse> warehouse =
+        Warehouse::Load(spec_, source.db(), strategy);
+    DWC_EXPECT_OK(warehouse);
+    // One multi-relation transaction: a new clerk plus their sales.
+    std::vector<UpdateOp> ops;
+    ops.push_back(UpdateOp{"Emp", {T({I(5000), I(40)})}, {}});
+    ops.push_back(UpdateOp{
+        "Sale", {T({I(1 << 25), I(5000)}), T({I((1 << 25) + 1), I(5000)})},
+        {}});
+    Result<std::vector<CanonicalDelta>> deltas = source.ApplyTransaction(ops);
+    DWC_EXPECT_OK(deltas);
+    DWC_EXPECT_OK(warehouse->IntegrateTransaction(*deltas));
+    DWC_EXPECT_OK(CheckConsistency(*warehouse, source.db()));
+    return StateDigest(warehouse->state()).Combined();
+  };
+  EXPECT_EQ(run(MaintenanceStrategy::kIncremental),
+            run(MaintenanceStrategy::kRecomputeFromInverse));
+}
+
+// The crash-injection contract: a clean refresh numbers its hook steps 0,
+// 1, 2, ...; a crash at any step fails the refresh; and a crash leaves the
+// state untouched up to the first commit mutation and changed after it
+// (evaluation reads only, the commit phase writes).
+TEST_F(ScaledFigure1Test, HookStepsNumberInOrderAndCrashesTearOnlyTheCommit) {
+  std::vector<int> steps;
+  {
+    Source source(db_);
+    Result<Warehouse> warehouse = Warehouse::Load(spec_, source.db());
+    DWC_ASSERT_OK(warehouse);
+    warehouse->SetIntegrationHook([&](int step) {
+      steps.push_back(step);
+      return Status::Ok();
+    });
+    Rng rng(23);
+    Result<CanonicalDelta> delta = source.Apply(MakeBatch(&rng));
+    DWC_ASSERT_OK(delta);
+    DWC_ASSERT_OK(warehouse->Integrate(*delta));
+  }
+  ASSERT_GT(steps.size(), 1u);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i], static_cast<int>(i));
+  }
+
+  std::vector<bool> untouched;
+  for (int k = 0; k < static_cast<int>(steps.size()); ++k) {
+    Source source(db_);
+    Result<Warehouse> warehouse = Warehouse::Load(spec_, source.db());
+    DWC_ASSERT_OK(warehouse);
+    const uint64_t before = StateDigest(warehouse->state()).Combined();
+    warehouse->SetIntegrationHook([k](int step) {
+      return step == k ? Status::Internal("injected crash") : Status::Ok();
+    });
+    Rng rng(23);
+    Result<CanonicalDelta> delta = source.Apply(MakeBatch(&rng));
+    DWC_ASSERT_OK(delta);
+    EXPECT_EQ(warehouse->Integrate(*delta).code(), StatusCode::kInternal)
+        << "hook at step " << k << " did not fire";
+    untouched.push_back(StateDigest(warehouse->state()).Combined() == before);
+  }
+  EXPECT_TRUE(untouched.front());
+  EXPECT_FALSE(untouched.back());
+  EXPECT_TRUE(std::is_partitioned(untouched.begin(), untouched.end(),
+                                  [](bool b) { return b; }));
 }
 
 }  // namespace
