@@ -489,7 +489,6 @@ class Repl {
           token->set_budget_tuples(budget_tuples_);
         }
       }
-      governor_.ReportEpochLag(warehouse_->epoch_stats().retired_epochs);
       dwc::Result<dwc::Governor::Ticket> ticket =
           governor_.AdmitRead(token.get());
       if (!ticket.ok()) {

@@ -78,7 +78,8 @@ std::vector<std::string> JoinColumns(const std::vector<std::string>& bases,
 // bases, V keeps every column the block outputs or selects on, and the
 // block's selection p implies q: then σ_p(E) = σ_p(σ_q(E)) and
 // π_B π_A = π_B turn the block into [π_B] σ_p(V). When p and q are
-// equivalent, σ_p is dropped, so p may read columns that V dropped.
+// equivalent, σ_p is dropped, so p may read columns that V dropped and V
+// is not re-filtered by a predicate that holds on every row.
 ExprRef MatchView(const Block& block, const PsjView& view,
                   const WarehouseSpec& spec) {
   if (view.bases.size() != block.bases.size() ||
@@ -103,7 +104,11 @@ ExprRef MatchView(const Block& block, const PsjView& view,
   if (block.predicate != nullptr) {
     const AttrSet selected = block.predicate->Attributes();
     if (AllIn(selected, view.attrs)) {
-      rewritten = Expr::Select(block.predicate, rewritten);
+      // V's own selection already applies p when q implies p.
+      if (view.predicate->kind() == Predicate::Kind::kTrue ||
+          !Implies(view.predicate, block.predicate)) {
+        rewritten = Expr::Select(block.predicate, rewritten);
+      }
     } else if (!AllIn(selected, JoinColumns(block.bases, spec.catalog())) ||
                !Implies(view.predicate, block.predicate)) {
       // p reads a column V dropped, and V's own selection does not

@@ -30,7 +30,7 @@ const char* LoadLevelName(LoadLevel level) {
 
 std::string GovernorStats::ToString() const {
   return StrCat(
-      "level=", LoadLevelName(level), " epoch_lag=", epoch_lag,
+      "level=", LoadLevelName(level),
       " admitted=", admitted_reads, "/", admitted_maintenance,
       " rejected=", rejected_reads, "/", rejected_maintenance,
       " shed_reads=", shed_reads, " stale_reads=", stale_reads,
@@ -59,12 +59,10 @@ size_t Governor::QueueLimit(WorkClass klass) const {
 
 LoadLevel Governor::ComputeLevel() const {
   const size_t read_queue = waiting_[static_cast<size_t>(WorkClass::kRead)];
-  if (read_queue >= options_.maintenance_only_queue_depth ||
-      epoch_lag_ >= options_.maintenance_only_epoch_lag) {
+  if (read_queue >= options_.maintenance_only_queue_depth) {
     return LoadLevel::kMaintenanceOnly;
   }
-  if (read_queue >= options_.stale_only_queue_depth ||
-      epoch_lag_ >= options_.stale_only_epoch_lag) {
+  if (read_queue >= options_.stale_only_queue_depth) {
     return LoadLevel::kStaleOnly;
   }
   return LoadLevel::kNormal;
@@ -151,11 +149,6 @@ void Governor::ReleaseSlot(WorkClass klass) {
   cv_[k].notify_one();
 }
 
-void Governor::ReportEpochLag(uint64_t lag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  epoch_lag_ = lag;
-}
-
 LoadLevel Governor::level() const {
   std::lock_guard<std::mutex> lock(mu_);
   return ComputeLevel();
@@ -164,7 +157,6 @@ LoadLevel Governor::level() const {
 GovernorStats Governor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   GovernorStats snapshot = stats_;
-  snapshot.epoch_lag = epoch_lag_;
   snapshot.level = ComputeLevel();
   return snapshot;
 }

@@ -43,13 +43,11 @@ struct GovernorOptions {
   size_t max_concurrent_maintenance = 1;
   size_t max_read_queue = 16;
   size_t max_maintenance_queue = 16;
-  // Ladder thresholds, driven by the read-queue depth and the reported
-  // epoch lag (see Governor::ReportEpochLag). Each level engages when
-  // either signal crosses its threshold.
+  // Ladder thresholds on the read-queue depth: each level engages when
+  // that many reads are waiting. (A reader that lags too many epochs behind
+  // is shed by the EpochManager instead; see kMaxEpochLag.)
   size_t stale_only_queue_depth = 8;
   size_t maintenance_only_queue_depth = 14;
-  uint64_t stale_only_epoch_lag = 16;
-  uint64_t maintenance_only_epoch_lag = 48;
 };
 
 // Counter snapshot for tests, the REPL `stats` command and bench_overload.
@@ -67,7 +65,6 @@ struct GovernorStats {
   // Queue-time deadline expiries (DeadlineExceeded before a slot freed).
   size_t timed_out_reads = 0;
   size_t timed_out_maintenance = 0;
-  uint64_t epoch_lag = 0;
   LoadLevel level = LoadLevel::kNormal;
 
   std::string ToString() const;
@@ -139,11 +136,6 @@ class Governor {
     return Admit(WorkClass::kMaintenance, token);
   }
 
-  // Feeds the ladder's second signal. The serving layer reports how far
-  // behind the warehouse is (e.g. EpochStats::retired_epochs — epochs
-  // superseded but still pinned by slow readers — or an ingest backlog).
-  void ReportEpochLag(uint64_t lag);
-
   LoadLevel level() const;
   GovernorStats stats() const;
   GovernorOptions options() const;
@@ -163,7 +155,6 @@ class Governor {
   GovernorOptions options_;
   size_t running_[kClasses] = {0, 0};
   size_t waiting_[kClasses] = {0, 0};
-  uint64_t epoch_lag_ = 0;
   GovernorStats stats_;
 };
 

@@ -1,6 +1,8 @@
 #include "storage/checkpoint.h"
 
 #include <cstdio>
+#include <string_view>
+#include <vector>
 
 #include "util/checksum.h"
 #include "util/string_util.h"
@@ -177,6 +179,30 @@ Result<Manifest> WriteCheckpoint(Vfs* vfs, const std::string& dir,
       AtomicWrite(vfs, dir, manifest.checkpoint_file, script));
   DWC_RETURN_IF_ERROR(WriteManifest(vfs, dir, manifest));
   return manifest;
+}
+
+Status SweepUnreferenced(Vfs* vfs, const std::string& dir,
+                         const Manifest& manifest) {
+  DWC_ASSIGN_OR_RETURN(std::vector<std::string> names, vfs->ListDir(dir));
+  bool removed = false;
+  for (const std::string& name : names) {
+    bool keep = name == kManifestName || name == manifest.checkpoint_file;
+    if (name.rfind("wal-", 0) == 0) {
+      std::string_view digits(name);
+      digits.remove_prefix(4);
+      uint64_t id = 0;
+      EatU64(&digits, &id);
+      keep = id >= manifest.wal_start;
+    }
+    if (!keep) {
+      DWC_RETURN_IF_ERROR(vfs->Remove(JoinPath(dir, name)));
+      removed = true;
+    }
+  }
+  if (removed) {
+    DWC_RETURN_IF_ERROR(vfs->SyncDir(dir));
+  }
+  return Status::Ok();
 }
 
 }  // namespace dwc

@@ -5,8 +5,8 @@
 #include <string>
 
 #include "storage/vfs.h"
+#include "storage/wal.h"
 #include "util/result.h"
-#include "warehouse/persistence.h"
 
 namespace dwc {
 
@@ -31,8 +31,8 @@ struct Manifest {
   std::string checkpoint_file;
   // CRC-32 of the checkpoint script file, re-verified at recovery.
   uint32_t checkpoint_crc = 0;
-  // The delivery-envelope watermark folded into the snapshot: journal
-  // replay must continue from exactly here (persistence.h JournalStamp).
+  // The delivery-envelope watermark folded into the snapshot: WAL replay
+  // must continue from exactly here.
   JournalStamp stamp;
   // First live WAL segment; recovery scans ids upward from it.
   uint64_t wal_start = 1;
@@ -51,10 +51,10 @@ Status WriteManifest(Vfs* vfs, const std::string& dir,
 // Durably writes `script` as checkpoint file `checkpoint-<id>.dwc` (temp +
 // fsync + rename + fsync-dir) and then commits a manifest pointing at it
 // with the given stamp and WAL start. Returns the committed manifest.
-// Old checkpoints/segments are NOT deleted here — the caller garbage
-// collects after the manifest commit (storage/durable.h), so a crash
-// between the two steps only leaves ignorable garbage, never a manifest
-// pointing at nothing.
+// Old checkpoints/segments are NOT deleted here — the caller sweeps them
+// after the manifest commit (SweepUnreferenced), so a crash between the
+// two steps only leaves ignorable garbage, never a manifest pointing at
+// nothing.
 Result<Manifest> WriteCheckpoint(Vfs* vfs, const std::string& dir,
                                  const std::string& script,
                                  uint64_t checkpoint_id,
@@ -62,6 +62,14 @@ Result<Manifest> WriteCheckpoint(Vfs* vfs, const std::string& dir,
                                  uint64_t wal_start);
 
 std::string CheckpointFileName(uint64_t id);
+
+// Removes every file in `dir` that `manifest` does not reference: temp
+// files from a mid-write crash, and the checkpoints and WAL segments a
+// manifest commit superseded. All garbage by construction — the manifest
+// is the root of reachability, so a crash mid-sweep only leaves garbage
+// for the next sweep.
+Status SweepUnreferenced(Vfs* vfs, const std::string& dir,
+                         const Manifest& manifest);
 
 }  // namespace dwc
 

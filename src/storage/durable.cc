@@ -1,23 +1,11 @@
 #include "storage/durable.h"
 
 #include <utility>
-#include <vector>
 
 #include "parser/script_io.h"
 #include "util/string_util.h"
 
 namespace dwc {
-
-namespace {
-
-bool AtOrBelow(uint64_t epoch, uint64_t sequence, const JournalStamp& stamp) {
-  if (epoch != stamp.epoch) {
-    return epoch < stamp.epoch;
-  }
-  return sequence <= stamp.sequence;
-}
-
-}  // namespace
 
 std::string StorageStats::ToString() const {
   return StrCat("wal_appends=", wal_appends, " wal_skips=", wal_skips,
@@ -44,6 +32,7 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Bootstrap(
                       /*wal_start=*/1));
   durable->checkpoint_id_ = manifest.checkpoint_id;
   durable->stamp_ = stamp;
+  durable->last_ = stamp;
   durable->checkpoints_ = 1;
   DWC_ASSIGN_OR_RETURN(
       durable->wal_,
@@ -63,8 +52,10 @@ Result<DurableWarehouse::Resumed> DurableWarehouse::Resume(
   const RecoveredStorage& recovered = resumed.recovered;
   std::unique_ptr<DurableWarehouse> durable(new DurableWarehouse(
       vfs, std::move(dir), recovered.restored.warehouse.get(), options));
-  durable->journal_ = recovered.journal;
   durable->stamp_ = recovered.manifest.stamp;
+  durable->pending_bytes_ = recovered.report.replayed_bytes;
+  durable->pending_records_ = recovered.report.records_replayed;
+  durable->last_ = recovered.report.resume;
   durable->checkpoint_id_ = recovered.manifest.checkpoint_id;
   durable->checkpoints_ = recovered.manifest.checkpoint_id;
   DWC_ASSIGN_OR_RETURN(
@@ -73,10 +64,6 @@ Result<DurableWarehouse::Resumed> DurableWarehouse::Resume(
                       recovered.report.next_segment_bytes, options.wal));
   resumed.durable = std::move(durable);
   return resumed;
-}
-
-JournalStamp DurableWarehouse::CurrentStamp() const {
-  return journal_.has_sequenced() ? journal_.last() : stamp_;
 }
 
 Status DurableWarehouse::Integrate(const CanonicalDelta& delta,
@@ -89,24 +76,29 @@ Status DurableWarehouse::Append(const CanonicalDelta& delta) {
   const std::string script = DeltaToScript(delta);
   DWC_ASSIGN_OR_RETURN(size_t framed,
                        wal_->Append(delta.epoch, delta.sequence, script));
-  journal_.AppendScript(script, delta.epoch, delta.sequence);
+  pending_bytes_ += script.size();
+  ++pending_records_;
+  if (delta.sequence != 0 &&
+      !AtOrBelow(delta.epoch, delta.sequence, last_)) {
+    last_ = {delta.epoch, delta.sequence};
+  }
   ++wal_appends_;
   wal_bytes_ += framed;
   return MaybePolicyCheckpoint();
 }
 
 Status DurableWarehouse::NoteConsumed(uint64_t epoch, uint64_t sequence) {
-  if (sequence == 0 || AtOrBelow(epoch, sequence, CurrentStamp())) {
+  if (sequence == 0 || AtOrBelow(epoch, sequence, last_)) {
     return Status::Ok();  // Already covered by the log or the checkpoint.
   }
   DWC_ASSIGN_OR_RETURN(size_t framed, wal_->Append(epoch, sequence, ""));
-  journal_.NoteConsumed(epoch, sequence);
+  last_ = {epoch, sequence};
   ++wal_skips_;
   wal_bytes_ += framed;
   return MaybePolicyCheckpoint();
 }
 
-Status DurableWarehouse::Checkpoint() { return DoCheckpoint(CurrentStamp()); }
+Status DurableWarehouse::Checkpoint() { return DoCheckpoint(last_); }
 
 Status DurableWarehouse::OnCommit(const CommitEvent& event) {
   switch (event.kind) {
@@ -121,8 +113,8 @@ Status DurableWarehouse::OnCommit(const CommitEvent& event) {
       // The rebuild came from source queries — nothing in the log can
       // reproduce it. Checkpoint the post-reset state immediately.
       JournalStamp stamp{event.epoch, event.sequence};
-      if (AtOrBelow(stamp.epoch, stamp.sequence, CurrentStamp())) {
-        stamp = CurrentStamp();
+      if (AtOrBelow(stamp.epoch, stamp.sequence, last_)) {
+        stamp = last_;
       }
       ++reset_checkpoints_;
       return DoCheckpoint(stamp);
@@ -137,11 +129,11 @@ void DurableWarehouse::Attach(DeltaIngestor* ingestor) {
 }
 
 Status DurableWarehouse::MaybePolicyCheckpoint() {
-  if (!options_.policy.ShouldCheckpoint(journal_)) {
+  if (!options_.policy.ShouldCheckpoint(pending_bytes_, pending_records_)) {
     return Status::Ok();
   }
   ++policy_checkpoints_;
-  return DoCheckpoint(CurrentStamp());
+  return DoCheckpoint(last_);
 }
 
 Status DurableWarehouse::DoCheckpoint(JournalStamp stamp) {
@@ -157,32 +149,13 @@ Status DurableWarehouse::DoCheckpoint(JournalStamp stamp) {
                       wal_start));
   checkpoint_id_ = manifest.checkpoint_id;
   stamp_ = stamp;
-  journal_.Clear();
+  last_ = stamp;
+  pending_bytes_ = 0;
+  pending_records_ = 0;
   ++checkpoints_;
   // The manifest no longer references the old checkpoint or the rotated
-  // segments: sweep them. A crash mid-sweep just leaves garbage for the
-  // next recovery's sweep.
-  DWC_ASSIGN_OR_RETURN(std::vector<std::string> names, vfs_->ListDir(dir_));
-  bool removed = false;
-  for (const std::string& name : names) {
-    bool keep = name == kManifestName || name == manifest.checkpoint_file;
-    if (name.rfind("wal-", 0) == 0) {
-      uint64_t id = 0;
-      for (char ch : name.substr(4)) {
-        if (ch < '0' || ch > '9') break;
-        id = id * 10 + static_cast<uint64_t>(ch - '0');
-      }
-      keep = id >= wal_start;
-    }
-    if (!keep) {
-      DWC_RETURN_IF_ERROR(vfs_->Remove(JoinPath(dir_, name)));
-      removed = true;
-    }
-  }
-  if (removed) {
-    DWC_RETURN_IF_ERROR(vfs_->SyncDir(dir_));
-  }
-  return Status::Ok();
+  // segments: sweep them.
+  return SweepUnreferenced(vfs_, dir_, manifest);
 }
 
 StorageStats DurableWarehouse::stats() const {
@@ -195,10 +168,10 @@ StorageStats DurableWarehouse::stats() const {
   stats.reset_checkpoints = reset_checkpoints_;
   stats.checkpoint_id = checkpoint_id_;
   stats.segment_id = wal_ != nullptr ? wal_->segment_id() : 0;
-  stats.journal_bytes = journal_.bytes();
-  stats.journal_records = journal_.entries();
+  stats.journal_bytes = pending_bytes_;
+  stats.journal_records = pending_records_;
   stats.stamp = stamp_;
-  stats.last = CurrentStamp();
+  stats.last = last_;
   return stats;
 }
 

@@ -10,9 +10,23 @@
 #include "storage/wal.h"
 #include "util/result.h"
 #include "warehouse/ingest.h"
-#include "warehouse/persistence.h"
 
 namespace dwc {
+
+// Checkpoint-trigger policy over the WAL written since the live checkpoint:
+// when either bound is reached, DurableWarehouse folds the log into a fresh
+// checkpoint. Bounds the log's disk footprint and — since recovery time is
+// linear in log length (EXPERIMENTS.md B10) — the recovery time. Bytes are
+// the DELTA statements' unframed payload bytes; records count data records
+// only (skip records carry no payload).
+struct JournalPolicy {
+  size_t max_bytes = 1 << 20;
+  size_t max_records = 1024;
+
+  bool ShouldCheckpoint(uint64_t bytes, uint64_t records) const {
+    return bytes >= max_bytes || records >= max_records;
+  }
+};
 
 struct StorageOptions {
   JournalPolicy policy;
@@ -29,8 +43,8 @@ struct StorageStats {
   uint64_t reset_checkpoints = 0;  // Forced by a kReset commit event.
   uint64_t checkpoint_id = 0;      // Live checkpoint id.
   uint64_t segment_id = 0;         // Live WAL segment id.
-  uint64_t journal_bytes = 0;      // Pending (un-checkpointed) journal.
-  uint64_t journal_records = 0;
+  uint64_t journal_bytes = 0;      // WAL payload bytes since the checkpoint.
+  uint64_t journal_records = 0;    // WAL data records since the checkpoint.
   JournalStamp stamp;              // The live checkpoint's stamp.
   JournalStamp last;               // Last consumed (epoch, sequence).
 
@@ -110,16 +124,20 @@ class DurableWarehouse {
   // manifest no longer references.
   Status DoCheckpoint(JournalStamp stamp);
   Status MaybePolicyCheckpoint();
-  // The stamp a checkpoint taken right now would carry.
-  JournalStamp CurrentStamp() const;
 
   Vfs* vfs_;
   std::string dir_;
   Warehouse* warehouse_;
   StorageOptions options_;
   std::unique_ptr<WalWriter> wal_;
-  DeltaJournal journal_;
   JournalStamp stamp_;  // Stamp of the live (manifest) checkpoint.
+  // The WAL since the live checkpoint, as the policy and the next
+  // checkpoint read it: unframed payload bytes, data records, and the last
+  // consumed (epoch, sequence) — the stamp a checkpoint taken now carries,
+  // `stamp_` while nothing has been consumed.
+  uint64_t pending_bytes_ = 0;
+  uint64_t pending_records_ = 0;
+  JournalStamp last_;
   uint64_t checkpoint_id_ = 0;
   uint64_t wal_appends_ = 0;
   uint64_t wal_skips_ = 0;

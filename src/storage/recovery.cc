@@ -11,13 +11,11 @@ namespace dwc {
 
 namespace {
 
-// True when (epoch, sequence) sorts at or below `stamp` — already folded
-// into the checkpoint, so replay must not apply it again.
-bool AtOrBelow(uint64_t epoch, uint64_t sequence, const JournalStamp& stamp) {
-  if (epoch != stamp.epoch) {
-    return epoch < stamp.epoch;
-  }
-  return sequence <= stamp.sequence;
+// True when (epoch, sequence) is the delta right after `last`: the same
+// epoch's next sequence, or the first sequence of a later epoch.
+bool Continues(uint64_t epoch, uint64_t sequence, const JournalStamp& last) {
+  return (epoch == last.epoch && sequence == last.sequence + 1) ||
+         (epoch > last.epoch && sequence == 1);
 }
 
 struct SegmentState {
@@ -102,72 +100,71 @@ Result<RecoveredStorage> RecoveryManager::Recover(
   report.next_segment_id = manifest.wal_start;
   report.next_segment_bytes = 0;
 
-  DeltaJournal& journal = out.journal;
+  // One pass over the log from the manifest stamp, checking continuity as
+  // it goes. A data record must continue the previous stamp; a skip record
+  // acknowledges a jump and may land anywhere past it; an unsequenced
+  // record carries no watermark. A data record that does not continue
+  // means deltas were lost, and replaying past it would silently diverge.
+  std::string script = std::move(checkpoint_script);
+  JournalStamp& last = report.resume;
   for (const SegmentState& segment : segments) {
     for (const WalRecord& record : segment.scan.records) {
-      if (record.sequence != 0 &&
-          AtOrBelow(record.epoch, record.sequence, manifest.stamp)) {
-        ++report.records_skipped;
-        continue;
+      if (record.sequence != 0) {
+        if (AtOrBelow(record.epoch, record.sequence, manifest.stamp)) {
+          ++report.records_skipped;  // Already folded into the checkpoint.
+          continue;
+        }
+        if (!record.is_skip() &&
+            !Continues(record.epoch, record.sequence, last)) {
+          if (last == manifest.stamp) {
+            return Status::FailedPrecondition(StrCat(
+                "WAL does not continue the checkpoint: checkpoint stamp is "
+                "epoch ", last.epoch, " seq ", last.sequence,
+                " but the first logged record is epoch ", record.epoch,
+                " seq ", record.sequence,
+                "; deltas between checkpoint and log were lost"));
+          }
+          return Status::FailedPrecondition(StrCat(
+              "WAL has an internal sequence gap: record epoch ",
+              record.epoch, " seq ", record.sequence, " in '", segment.path,
+              "' follows epoch ", last.epoch, " seq ", last.sequence,
+              "; a DELTA record between two surviving records was lost, "
+              "refusing to replay a torn log"));
+        }
+        if (!AtOrBelow(record.epoch, record.sequence, last)) {
+          last = {record.epoch, record.sequence};
+        }
       }
       if (record.is_skip()) {
-        journal.NoteConsumed(record.epoch, record.sequence);
         ++report.records_skipped;
         continue;
       }
-      journal.AppendScript(record.payload, record.epoch, record.sequence);
+      script += record.payload;
       ++report.records_replayed;
+      report.replayed_bytes += record.payload.size();
     }
     if (segment.scan.torn_tail) {
       report.torn_tail = true;
       report.truncated_bytes += segment.scan.truncated_bytes;
     }
   }
-  if (journal.has_sequenced()) {
-    report.resume = journal.last();
-  }
   if (!segments.empty()) {
     report.next_segment_id = segments.back().id;
     report.next_segment_bytes = segments.back().scan.valid_bytes;
   }
 
-  DWC_ASSIGN_OR_RETURN(
-      out.restored,
-      RecoverWarehouse(checkpoint_script, journal, manifest.stamp, strategy,
-                       options));
+  DWC_ASSIGN_OR_RETURN(out.restored,
+                       WarehouseFromScript(script, strategy, options));
 
   if (repair) {
     // Cut the torn tail off disk so a resumed writer appends to a clean
     // frame boundary.
     if (report.torn_tail) {
-      const SegmentState& last = segments.back();
-      DWC_RETURN_IF_ERROR(vfs_->Truncate(last.path, last.scan.valid_bytes));
+      const SegmentState& last_segment = segments.back();
+      DWC_RETURN_IF_ERROR(
+          vfs_->Truncate(last_segment.path, last_segment.scan.valid_bytes));
     }
-    // Sweep everything the manifest does not reference: temp files from a
-    // mid-write crash, checkpoints and segments superseded by the manifest
-    // commit. All garbage by construction — the manifest is the root of
-    // reachability.
-    DWC_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                         vfs_->ListDir(dir_));
-    bool removed = false;
-    for (const std::string& name : names) {
-      bool keep = name == kManifestName || name == manifest.checkpoint_file;
-      if (name.rfind("wal-", 0) == 0) {
-        uint64_t id = 0;
-        for (char ch : name.substr(4)) {
-          if (ch < '0' || ch > '9') break;
-          id = id * 10 + static_cast<uint64_t>(ch - '0');
-        }
-        keep = id >= manifest.wal_start;
-      }
-      if (!keep) {
-        DWC_RETURN_IF_ERROR(vfs_->Remove(JoinPath(dir_, name)));
-        removed = true;
-      }
-    }
-    if (removed) {
-      DWC_RETURN_IF_ERROR(vfs_->SyncDir(dir_));
-    }
+    DWC_RETURN_IF_ERROR(SweepUnreferenced(vfs_, dir_, manifest));
   }
   return out;
 }

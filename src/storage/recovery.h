@@ -19,6 +19,9 @@ struct RecoveryReport {
   // Sequenced + unsequenced DELTA statements replayed through the
   // interpreter (each re-verifying its piggybacked digest).
   uint64_t records_replayed = 0;
+  // Their unframed payload bytes. With records_replayed and `resume`, this
+  // is the backlog a resumed DurableWarehouse's checkpoint policy carries.
+  uint64_t replayed_bytes = 0;
   // Skip records (resync/dedup watermarks) plus records already folded
   // into the checkpoint (at or below its stamp).
   uint64_t records_skipped = 0;
@@ -38,18 +41,14 @@ struct RecoveredStorage {
   Manifest manifest;
   RestoredWarehouse restored;
   RecoveryReport report;
-  // The replayed-but-not-yet-checkpointed records, exactly as the WAL held
-  // them; a resumed DurableWarehouse adopts this so its checkpoint policy
-  // sees the carried-over backlog.
-  DeltaJournal journal;
 };
 
 // Brings a storage directory back to the last committed state: manifest →
 // checkpoint (CRC re-verified) → WAL segments (each frame CRC-verified,
-// torn tail truncated, mid-log corruption refused) → interpreter replay
-// with digest re-verification and stamp-continuity validation. Replay is
-// pure log application — it never queries the source (the crash-matrix
-// test asserts this).
+// torn tail truncated, mid-log corruption refused) → stamp-continuity check
+// → interpreter replay of checkpoint + payloads with digest
+// re-verification. Replay is pure log application — it never queries the
+// source (the crash-matrix test asserts this).
 class RecoveryManager {
  public:
   RecoveryManager(Vfs* vfs, std::string dir)

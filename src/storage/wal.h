@@ -12,10 +12,11 @@
 
 namespace dwc {
 
-// Segmented write-ahead log of committed deltas. Each record is a framed
-// DSL DELTA statement (parser/script_io.h DeltaToScript — the same journal
-// format DeltaJournal holds in memory, so replay goes through the existing
-// interpreter with its digest re-verification for free).
+// Segmented write-ahead log of committed deltas: the only delta log the
+// system keeps. Each record is a framed DSL DELTA statement
+// (parser/script_io.h DeltaToScript), so recovery appends the payloads to
+// the checkpoint script and replays them through the interpreter, with its
+// digest re-verification for free (storage/recovery.h).
 //
 // Record frame (little-endian):
 //   u32 crc      CRC-32 over the remaining 20 header bytes + payload
@@ -43,6 +44,29 @@ inline constexpr size_t kWalHeaderSize = 24;
 inline constexpr uint32_t kWalMaxRecordBytes = 64u << 20;
 
 std::string WalSegmentName(uint64_t id);
+
+// The delivery-envelope watermark a checkpoint was taken at: every delta
+// with (epoch, sequence) at or below the stamp is folded into the snapshot.
+// Epoch/sequence 0 means "nothing consumed yet" (a warehouse checkpointed
+// before any sequenced delta arrived).
+struct JournalStamp {
+  uint64_t epoch = 0;
+  uint64_t sequence = 0;
+
+  bool operator==(const JournalStamp& other) const {
+    return epoch == other.epoch && sequence == other.sequence;
+  }
+};
+
+// True when (epoch, sequence) sorts at or below `stamp`: already covered,
+// so it is neither logged again nor replayed.
+inline bool AtOrBelow(uint64_t epoch, uint64_t sequence,
+                      const JournalStamp& stamp) {
+  if (epoch != stamp.epoch) {
+    return epoch < stamp.epoch;
+  }
+  return sequence <= stamp.sequence;
+}
 
 // One framed record.
 struct WalRecord {

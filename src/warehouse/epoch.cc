@@ -76,27 +76,17 @@ EpochManager::Commit::~Commit() {
 
 void EpochManager::Commit::Publish(VersionSet versions) {
   std::vector<std::shared_ptr<epoch_internal::EpochRecord>> graveyard;
-  std::vector<EpochManager::ShedEvent> shed_events;
-  ShedCallback callback;
-  {
-    if (!lock_.owns_lock()) {
-      lock_.lock();
-    }
-    manager_->PublishLocked(std::move(versions), &graveyard, &shed_events);
-    if (in_place_) {
-      ++manager_->inplace_commits_;
-    } else {
-      ++manager_->cow_commits_;
-    }
-    published_ = true;
-    callback = manager_->shed_callback_;
-    lock_.unlock();
+  if (!lock_.owns_lock()) {
+    lock_.lock();
   }
-  if (callback != nullptr) {
-    for (const ShedEvent& event : shed_events) {
-      callback(event.epoch, event.lag, event.pins);
-    }
+  manager_->PublishLocked(std::move(versions), &graveyard);
+  if (in_place_) {
+    ++manager_->inplace_commits_;
+  } else {
+    ++manager_->cow_commits_;
   }
+  published_ = true;
+  lock_.unlock();
 }
 
 EpochManager::Commit EpochManager::BeginCommit() {
@@ -110,24 +100,13 @@ EpochManager::Commit EpochManager::BeginCommit() {
 
 void EpochManager::Publish(VersionSet versions) {
   std::vector<std::shared_ptr<epoch_internal::EpochRecord>> graveyard;
-  std::vector<ShedEvent> shed_events;
-  ShedCallback callback;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PublishLocked(std::move(versions), &graveyard, &shed_events);
-    callback = shed_callback_;
-  }
-  if (callback != nullptr) {
-    for (const ShedEvent& event : shed_events) {
-      callback(event.epoch, event.lag, event.pins);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  PublishLocked(std::move(versions), &graveyard);
 }
 
 void EpochManager::PublishLocked(
     VersionSet versions,
-    std::vector<std::shared_ptr<epoch_internal::EpochRecord>>* graveyard,
-    std::vector<ShedEvent>* shed_events) {
+    std::vector<std::shared_ptr<epoch_internal::EpochRecord>>* graveyard) {
   auto record = std::make_shared<epoch_internal::EpochRecord>();
   record->number = next_epoch_++;
   record->relations = std::move(versions);
@@ -135,18 +114,14 @@ void EpochManager::PublishLocked(
   ++published_count_;
   const uint64_t current = epochs_.back()->number;
   // Backpressure policy: flag pinned snapshots that have fallen more than
-  // max_epoch_lag epochs behind. The flag stops new queries on the handle
-  // (Status::Aborted) and surfaces through the callback/stats; the memory
-  // itself frees when the handle finally drops.
-  if (options_.max_epoch_lag > 0) {
-    for (const auto& epoch : epochs_) {
-      const uint64_t lag = current - epoch->number;
-      if (lag > options_.max_epoch_lag && epoch->pins > 0 &&
-          !epoch->shed.load(std::memory_order_relaxed)) {
-        epoch->shed.store(true, std::memory_order_release);
-        shed_count_ += epoch->pins;
-        shed_events->push_back(ShedEvent{epoch->number, lag, epoch->pins});
-      }
+  // kMaxEpochLag epochs behind. The flag stops new queries on the handle
+  // (Status::Aborted) and surfaces through the stats; the memory itself
+  // frees when the handle finally drops.
+  for (const auto& epoch : epochs_) {
+    if (current - epoch->number > kMaxEpochLag && epoch->pins > 0 &&
+        !epoch->shed.load(std::memory_order_relaxed)) {
+      epoch->shed.store(true, std::memory_order_release);
+      shed_count_ += epoch->pins;
     }
   }
   ReclaimLocked(graveyard);
@@ -209,21 +184,6 @@ EpochStats EpochManager::stats() const {
   stats.cow_commits = cow_commits_;
   stats.inplace_commits = inplace_commits_;
   return stats;
-}
-
-void EpochManager::set_options(const EpochOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_ = options;
-}
-
-EpochOptions EpochManager::options() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_;
-}
-
-void EpochManager::set_shed_callback(ShedCallback callback) {
-  std::lock_guard<std::mutex> lock(mu_);
-  shed_callback_ = std::move(callback);
 }
 
 }  // namespace dwc

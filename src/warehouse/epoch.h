@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,15 +48,12 @@ namespace dwc {
 //    made before Publish (the mutex provides the happens-before edge). The
 //    only lock-free read is the `shed` flag, an acquire/release atomic.
 
-struct EpochOptions {
-  // A pinned snapshot more than this many epochs behind the current one is
-  // "shed": its handle is flagged, queries through it fail with
-  // Status::Aborted, and the shed callback (if any) fires. Shedding cannot
-  // force-free memory — the handle still owns its version set — but it
-  // stops new work on the stale snapshot and tells the operator which
-  // reader is stuck. 0 disables shedding.
-  uint64_t max_epoch_lag = 64;
-};
+// A pinned snapshot more than this many epochs behind the current one is
+// "shed": its handle is flagged and queries through it fail with
+// Status::Aborted. Shedding cannot force-free memory — the handle still
+// owns its version set — but it stops new work on the stale snapshot, and
+// EpochStats::shed_snapshots counts it.
+inline constexpr uint64_t kMaxEpochLag = 64;
 
 struct EpochStats {
   uint64_t current_epoch = 0;      // 0 until the first Publish.
@@ -66,7 +62,7 @@ struct EpochStats {
   uint64_t retired_epochs = 0;     // Superseded epochs still held by pins.
   uint64_t retired_versions = 0;   // Relation versions only those epochs hold.
   uint64_t reclaimed_epochs = 0;   // Superseded epochs already freed.
-  uint64_t shed_snapshots = 0;     // Handles flagged by the lag bound.
+  uint64_t shed_snapshots = 0;     // Handles flagged by kMaxEpochLag.
   uint64_t cow_commits = 0;        // Commits that took the clone-and-swap path.
   uint64_t inplace_commits = 0;    // Commits that mutated under the lock.
 
@@ -147,9 +143,6 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
  public:
   using VersionSet = std::map<std::string, std::shared_ptr<const Relation>>;
 
-  explicit EpochManager(EpochOptions options = EpochOptions())
-      : options_(options) {}
-
   // Pins the current epoch. Invalid handle when nothing is published yet.
   SnapshotHandle Pin();
 
@@ -191,30 +184,15 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   uint64_t current_epoch() const;
   EpochStats stats() const;
 
-  void set_options(const EpochOptions& options);
-  EpochOptions options() const;
-
-  // Fires (outside the manager lock) whenever the lag bound sheds a pinned
-  // snapshot: (epoch number, lag in epochs, pins on it).
-  using ShedCallback = std::function<void(uint64_t, uint64_t, uint64_t)>;
-  void set_shed_callback(ShedCallback callback);
-
  private:
   friend class SnapshotHandle;
   friend class Commit;
-
-  struct ShedEvent {
-    uint64_t epoch;
-    uint64_t lag;
-    uint64_t pins;
-  };
 
   void Unpin(const std::shared_ptr<epoch_internal::EpochRecord>& epoch);
   // All Locked helpers require mu_ held.
   void PublishLocked(VersionSet versions,
                      std::vector<std::shared_ptr<epoch_internal::EpochRecord>>*
-                         graveyard,
-                     std::vector<ShedEvent>* shed_events);
+                         graveyard);
   void ReclaimLocked(
       std::vector<std::shared_ptr<epoch_internal::EpochRecord>>* graveyard);
   uint64_t RetiredVersionsLocked() const;
@@ -222,8 +200,6 @@ class EpochManager : public std::enable_shared_from_this<EpochManager> {
   mutable std::mutex mu_;
   // Front = oldest still-live epoch, back = current.
   std::deque<std::shared_ptr<epoch_internal::EpochRecord>> epochs_;
-  EpochOptions options_;
-  ShedCallback shed_callback_;
   uint64_t next_epoch_ = 1;
   uint64_t live_pins_ = 0;
   uint64_t published_count_ = 0;

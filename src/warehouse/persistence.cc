@@ -2,7 +2,6 @@
 
 #include "parser/interpreter.h"
 #include "parser/script_io.h"
-#include "util/string_util.h"
 
 namespace dwc {
 
@@ -51,103 +50,6 @@ Result<RestoredWarehouse> WarehouseFromScript(
     DWC_RETURN_IF_ERROR(restored.warehouse->AddAggregateView(def));
   }
   return restored;
-}
-
-void DeltaJournal::Account(uint64_t epoch, uint64_t sequence, bool is_note) {
-  if (sequence == 0) {
-    return;  // Unsequenced records carry no watermark.
-  }
-  if (!has_first_) {
-    has_first_ = true;
-    first_ = {epoch, sequence};
-    first_is_note_ = is_note;
-  } else if (!is_note) {
-    // A journaled record must continue the previous watermark exactly; a
-    // NoteConsumed may jump (it is an explicit acknowledgment).
-    bool continues =
-        (epoch == last_.epoch && sequence == last_.sequence + 1) ||
-        (epoch > last_.epoch && sequence == 1);
-    if (!continues) {
-      contiguous_ = false;
-    }
-  }
-  if (epoch > last_.epoch ||
-      (epoch == last_.epoch && sequence > last_.sequence)) {
-    last_ = {epoch, sequence};
-  }
-}
-
-void DeltaJournal::Append(const CanonicalDelta& delta) {
-  script_ += DeltaToScript(delta);
-  ++entries_;
-  Account(delta.epoch, delta.sequence, /*is_note=*/false);
-}
-
-void DeltaJournal::AppendScript(std::string_view delta_script, uint64_t epoch,
-                                uint64_t sequence) {
-  script_ += delta_script;
-  ++entries_;
-  Account(epoch, sequence, /*is_note=*/false);
-}
-
-void DeltaJournal::NoteConsumed(uint64_t epoch, uint64_t sequence) {
-  Account(epoch, sequence, /*is_note=*/true);
-}
-
-namespace {
-
-// Shared validation + replay core of the two RecoverWarehouse overloads.
-Result<RestoredWarehouse> RecoverValidated(
-    const std::string& checkpoint_script, const DeltaJournal& journal,
-    const JournalStamp* stamp, MaintenanceStrategy strategy,
-    const ComplementOptions& options) {
-  if (!journal.contiguous()) {
-    return Status::FailedPrecondition(
-        "journal has an internal sequence gap: a DELTA record between two "
-        "surviving records was lost; refusing to replay a torn journal");
-  }
-  if (stamp != nullptr && journal.has_sequenced()) {
-    const JournalStamp first = journal.first();
-    bool continues;
-    if (journal.first_is_note()) {
-      // An acknowledged jump only has to land past the stamp.
-      continues = first.epoch > stamp->epoch ||
-                  (first.epoch == stamp->epoch &&
-                   first.sequence > stamp->sequence);
-    } else {
-      continues =
-          (first.epoch == stamp->epoch &&
-           first.sequence == stamp->sequence + 1) ||
-          (first.epoch > stamp->epoch && first.sequence == 1);
-    }
-    if (!continues) {
-      return Status::FailedPrecondition(StrCat(
-          "journal does not continue the checkpoint: checkpoint stamp is "
-          "epoch ", stamp->epoch, " seq ", stamp->sequence,
-          " but the journal's first record is epoch ", first.epoch, " seq ",
-          first.sequence,
-          "; deltas between checkpoint and journal were lost"));
-    }
-  }
-  return WarehouseFromScript(checkpoint_script + journal.script(), strategy,
-                             options);
-}
-
-}  // namespace
-
-Result<RestoredWarehouse> RecoverWarehouse(
-    const std::string& checkpoint_script, const DeltaJournal& journal,
-    MaintenanceStrategy strategy, const ComplementOptions& options) {
-  return RecoverValidated(checkpoint_script, journal, /*stamp=*/nullptr,
-                          strategy, options);
-}
-
-Result<RestoredWarehouse> RecoverWarehouse(
-    const std::string& checkpoint_script, const DeltaJournal& journal,
-    const JournalStamp& stamp, MaintenanceStrategy strategy,
-    const ComplementOptions& options) {
-  return RecoverValidated(checkpoint_script, journal, &stamp, strategy,
-                          options);
 }
 
 }  // namespace dwc

@@ -1,9 +1,8 @@
 #ifndef DWC_WAREHOUSE_PERSISTENCE_H_
 #define DWC_WAREHOUSE_PERSISTENCE_H_
 
-#include <cstdint>
+#include <memory>
 #include <string>
-#include <string_view>
 
 #include "util/result.h"
 #include "warehouse/warehouse.h"
@@ -19,6 +18,9 @@ namespace dwc {
 Result<std::string> WarehouseToScript(const Warehouse& warehouse);
 
 // Rebuilds a warehouse (and its backing Source) from a checkpoint script.
+// DELTA statements appended to the checkpoint (storage/recovery.h appends
+// the WAL's payloads) are replayed in order, each re-verifying its
+// piggybacked state digest, so a damaged log fails loudly.
 struct RestoredWarehouse {
   std::shared_ptr<WarehouseSpec> spec;
   std::unique_ptr<Source> source;
@@ -27,127 +29,6 @@ struct RestoredWarehouse {
 
 Result<RestoredWarehouse> WarehouseFromScript(
     const std::string& script,
-    MaintenanceStrategy strategy = MaintenanceStrategy::kIncremental,
-    const ComplementOptions& options = ComplementOptions());
-
-// The delivery-envelope watermark a checkpoint was taken at: every delta
-// with (epoch, sequence) at or below the stamp is folded into the snapshot.
-// Epoch/sequence 0 means "nothing consumed yet" (a warehouse checkpointed
-// before any sequenced delta arrived).
-struct JournalStamp {
-  uint64_t epoch = 0;
-  uint64_t sequence = 0;
-
-  bool operator==(const JournalStamp& other) const {
-    return epoch == other.epoch && sequence == other.sequence;
-  }
-};
-
-// Append-only commit log of integrated deltas, each rendered as a DSL
-// DELTA statement (script_io.h). Append *after* Warehouse::Integrate
-// succeeds: the journal then holds exactly the committed refreshes since
-// the last checkpoint, so no matter where a crash tears the in-memory
-// state, RecoverWarehouse(checkpoint, journal) lands on the last
-// consistent pre-crash state — a half-applied refresh was never journaled.
-//
-// Besides the script text the journal tracks byte size (the checkpoint
-// policy's trigger — see storage/durable.h — so the log cannot grow without
-// bound) and the envelope watermarks of what it holds: the first and last
-// consumed (epoch, sequence), and whether the sequenced records form a
-// contiguous run. RecoverWarehouse refuses journals with internal gaps or
-// journals that do not continue their checkpoint's stamp — a lost journal
-// prefix must fail loudly, not replay silently into a diverged state.
-class DeltaJournal {
- public:
-  void Append(const CanonicalDelta& delta);
-
-  // Storage-layer variant: appends an already-rendered DELTA statement
-  // (a WAL record payload) with its frame envelope. Equivalent to Append
-  // for accounting; `sequence` 0 marks an unsequenced record.
-  void AppendScript(std::string_view delta_script, uint64_t epoch,
-                    uint64_t sequence);
-
-  // Records that (epoch, sequence) was consumed without a journal record —
-  // a resync folded its effect in, or the ingestor skipped a superseded
-  // delta. Explicitly acknowledged jumps are not gaps: the next Append may
-  // continue from here.
-  void NoteConsumed(uint64_t epoch, uint64_t sequence);
-
-  // The concatenated DELTA statements since the last Clear().
-  const std::string& script() const { return script_; }
-  size_t entries() const { return entries_; }
-  bool empty() const { return entries_ == 0; }
-  // Byte size of the pending script — the growth the checkpoint policy
-  // bounds.
-  size_t bytes() const { return script_.size(); }
-
-  // Envelope accounting. first()/last() are the consumed range; valid only
-  // when has_sequenced() (unsequenced-only journals carry no watermarks).
-  bool has_sequenced() const { return has_first_; }
-  JournalStamp first() const { return first_; }
-  JournalStamp last() const { return last_; }
-  // True when the first consumption was a NoteConsumed (an acknowledged
-  // jump), which is allowed to land anywhere past the checkpoint stamp.
-  bool first_is_note() const { return first_is_note_; }
-  // False once a sequenced Append failed to continue the previous watermark
-  // (same epoch: sequence + 1; new epoch: sequence 1).
-  bool contiguous() const { return contiguous_; }
-
-  // Truncate after taking a fresh checkpoint.
-  void Clear() {
-    script_.clear();
-    entries_ = 0;
-    has_first_ = false;
-    first_ = JournalStamp();
-    last_ = JournalStamp();
-    first_is_note_ = false;
-    contiguous_ = true;
-  }
-
- private:
-  void Account(uint64_t epoch, uint64_t sequence, bool is_note);
-
-  std::string script_;
-  size_t entries_ = 0;
-  bool has_first_ = false;
-  JournalStamp first_;
-  JournalStamp last_;
-  bool first_is_note_ = false;
-  bool contiguous_ = true;
-};
-
-// Checkpoint-trigger policy: when either bound is exceeded the caller
-// should snapshot (WarehouseToScript) and Clear() the journal. Bounds the
-// journal's memory/disk footprint and — since recovery time is linear in
-// journal length (EXPERIMENTS.md B10) — the recovery time.
-struct JournalPolicy {
-  size_t max_bytes = 1 << 20;
-  size_t max_records = 1024;
-
-  bool ShouldCheckpoint(const DeltaJournal& journal) const {
-    return journal.bytes() >= max_bytes || journal.entries() >= max_records;
-  }
-};
-
-// Checkpoint + journal replay: runs the checkpoint script (WarehouseToScript)
-// with the journal's DELTA records appended and loads a fresh warehouse from
-// the result. Sequenced records re-verify their piggybacked state digests
-// during replay, so a damaged journal fails loudly — as does a journal with
-// an internal sequence gap (a record was lost between two survivors).
-Result<RestoredWarehouse> RecoverWarehouse(
-    const std::string& checkpoint_script, const DeltaJournal& journal,
-    MaintenanceStrategy strategy = MaintenanceStrategy::kIncremental,
-    const ComplementOptions& options = ComplementOptions());
-
-// As above, additionally validating that the journal *begins* where the
-// checkpoint stopped: a first record that does not continue `stamp` means
-// deltas between the checkpoint and the journal's first survivor were lost,
-// which unchecked replay would silently absorb. The storage layer's
-// RecoveryManager always has the stamp (it is in the manifest) and always
-// passes it.
-Result<RestoredWarehouse> RecoverWarehouse(
-    const std::string& checkpoint_script, const DeltaJournal& journal,
-    const JournalStamp& stamp,
     MaintenanceStrategy strategy = MaintenanceStrategy::kIncremental,
     const ComplementOptions& options = ComplementOptions());
 

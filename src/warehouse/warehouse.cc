@@ -57,7 +57,7 @@ void Warehouse::CopyFrom(const Warehouse& other) {
   subplan_cache_ = other.subplan_cache_;
   // An independent epoch timeline: snapshots pinned on the original must
   // not see (or delay reclamation of) the copy's state, and vice versa.
-  epochs_ = std::make_shared<EpochManager>(other.epochs_->options());
+  epochs_ = std::make_shared<EpochManager>();
   stats_mu_ = std::make_shared<std::mutex>();
   {
     std::lock_guard<std::mutex> lock(*other.stats_mu_);

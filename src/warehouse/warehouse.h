@@ -53,10 +53,10 @@ const char* MaintenanceStrategyName(MaintenanceStrategy strategy);
 // transition publishes a new snapshot epoch as its final act; readers
 // evaluate against the pinned epoch's frozen version set and never observe a
 // half-applied integration. Configuration setters (SetEvaluatorOptions,
-// SetEpochOptions, set_validate_deltas, ...) are writer-side: call them
-// before concurrent serving starts. All other accessors that touch `state()`
-// directly (FindRelation, Env, ReconstructSources, ...) read the writer's
-// live state and are not synchronized against it.
+// set_validate_deltas, ...) are writer-side: call them before concurrent
+// serving starts. All other accessors that touch `state()` directly
+// (FindRelation, Env, ReconstructSources, ...) read the writer's live state
+// and are not synchronized against it.
 class Warehouse {
  public:
   // Materializes all warehouse relations from the initial source state and
@@ -158,13 +158,6 @@ class Warehouse {
   // CanonicalDelta envelopes).
   uint64_t current_epoch() const { return epochs_->current_epoch(); }
   EpochStats epoch_stats() const { return epochs_->stats(); }
-  // Reclamation/backpressure knobs (writer-side; see EpochOptions).
-  void SetEpochOptions(const EpochOptions& options) {
-    epochs_->set_options(options);
-  }
-  void SetShedCallback(EpochManager::ShedCallback callback) {
-    epochs_->set_shed_callback(std::move(callback));
-  }
 
   // Rebuilds the full base database state through W^-1 (Proposition 2.1's
   // one-to-one mapping, inverted). Used by consistency checks and tests.

@@ -22,8 +22,6 @@ GovernorOptions SmallOptions() {
   options.max_maintenance_queue = 2;
   options.stale_only_queue_depth = 2;
   options.maintenance_only_queue_depth = 3;
-  options.stale_only_epoch_lag = 4;
-  options.maintenance_only_epoch_lag = 8;
   return options;
 }
 
@@ -87,33 +85,78 @@ TEST(GovernorTest, ReleasingASlotWakesAQueuedWaiter) {
   EXPECT_TRUE(admitted.load(std::memory_order_acquire));
 }
 
-TEST(GovernorTest, EpochLagClimbsTheLadder) {
+// Waits (bounded) until the governor reports `level`.
+bool AwaitLevel(const Governor& governor, LoadLevel level) {
+  for (int i = 0; i < 5000 && governor.level() != level; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return governor.level() == level;
+}
+
+TEST(GovernorTest, QueueDepthClimbsTheLadder) {
   Governor governor(SmallOptions());
   EXPECT_EQ(governor.level(), LoadLevel::kNormal);
+  // Fill both read slots, then queue reads behind them: the read-queue
+  // depth is the ladder's signal.
+  Result<Governor::Ticket> a = governor.AdmitRead();
+  Result<Governor::Ticket> b = governor.AdmitRead();
+  DWC_ASSERT_OK(a);
+  DWC_ASSERT_OK(b);
+  std::vector<std::thread> waiters;
+  // Frees the slots and joins the waiters. It also runs on every early
+  // exit, so a failed step fails the test instead of leaving joinable
+  // threads behind.
+  struct Drain {
+    Result<Governor::Ticket>& a;
+    Result<Governor::Ticket>& b;
+    std::vector<std::thread>& waiters;
+    void Run() {
+      a->Release();
+      b->Release();
+      for (std::thread& waiter : waiters) {
+        waiter.join();
+      }
+      waiters.clear();
+    }
+    ~Drain() { Run(); }
+  } drain{a, b, waiters};
+  auto queue_read = [&](bool allow_stale, bool expect_stale) {
+    waiters.emplace_back([&governor, allow_stale, expect_stale] {
+      Result<Governor::Ticket> ticket =
+          governor.AdmitRead(nullptr, allow_stale);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      EXPECT_EQ(ticket->stale_only(), expect_stale);
+    });
+  };
+  // Reads admitted at an elevated level must not wait for a slot: a
+  // deadline turns a missed shed into a failure rather than a hang.
+  auto bounded = [] {
+    return CancelToken::WithDeadline(std::chrono::seconds(5));
+  };
+  queue_read(/*allow_stale=*/false, /*expect_stale=*/false);
+  queue_read(/*allow_stale=*/false, /*expect_stale=*/false);
+  // stale_only_queue_depth
+  ASSERT_TRUE(AwaitLevel(governor, LoadLevel::kStaleOnly));
 
-  governor.ReportEpochLag(4);  // stale_only_epoch_lag
-  EXPECT_EQ(governor.level(), LoadLevel::kStaleOnly);
-  // A fresh-snapshot read is shed; a stale-capable one is admitted and
-  // marked.
-  Result<Governor::Ticket> fresh = governor.AdmitRead();
+  // A fresh-snapshot read is shed; a stale-capable one is admitted (it
+  // queues for a slot) and marked.
+  Result<Governor::Ticket> fresh = governor.AdmitRead(bounded().get());
   ASSERT_FALSE(fresh.ok());
   EXPECT_EQ(fresh.status().code(), StatusCode::kResourceExhausted);
-  Result<Governor::Ticket> stale =
-      governor.AdmitRead(nullptr, /*allow_stale=*/true);
-  DWC_ASSERT_OK(stale);
-  EXPECT_TRUE(stale->stale_only());
+  queue_read(/*allow_stale=*/true, /*expect_stale=*/true);
+  // maintenance_only_queue_depth
+  ASSERT_TRUE(AwaitLevel(governor, LoadLevel::kMaintenanceOnly));
 
-  governor.ReportEpochLag(8);  // maintenance_only_epoch_lag
-  EXPECT_EQ(governor.level(), LoadLevel::kMaintenanceOnly);
   // Reads are refused outright — even stale-capable ones — but maintenance
   // still runs (that is the point of the level).
   Result<Governor::Ticket> any =
-      governor.AdmitRead(nullptr, /*allow_stale=*/true);
+      governor.AdmitRead(bounded().get(), /*allow_stale=*/true);
   ASSERT_FALSE(any.ok());
   EXPECT_EQ(any.status().code(), StatusCode::kResourceExhausted);
   DWC_ASSERT_OK(governor.AdmitMaintenance());
 
-  governor.ReportEpochLag(0);
+  // Freeing the slots drains the queue, and the ladder comes back down.
+  drain.Run();
   EXPECT_EQ(governor.level(), LoadLevel::kNormal);
   GovernorStats stats = governor.stats();
   EXPECT_EQ(stats.shed_reads, 2u);

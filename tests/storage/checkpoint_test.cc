@@ -7,8 +7,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/warehouse_spec.h"
+#include "parser/script_io.h"
 #include "storage/checkpoint.h"
 #include "storage/durable.h"
 #include "storage/fault_vfs.h"
@@ -96,6 +98,67 @@ class StorageRecoveryTest : public ::testing::Test {
     return StateDigest(warehouse.state()).Combined();
   }
 
+  // Applies `op` at the source only; the caller decides what is logged.
+  CanonicalDelta MustApply(const UpdateOp& op) {
+    Result<CanonicalDelta> delta = source_->Apply(op);
+    EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+    return std::move(delta).value();
+  }
+
+  // A fixed stream of ten Emp hires whose names (so DELTA statements)
+  // grow by one character each.
+  static std::vector<UpdateOp> HireStream() {
+    std::vector<UpdateOp> ops;
+    for (int i = 1; i <= 10; ++i) {
+      const std::string name(i, static_cast<char>('a' + i));
+      ops.push_back({"Emp", {T({S(name.c_str()), I(20 + i)})}, {}});
+    }
+    return ops;
+  }
+
+  // Integrates HireStream durably on a fresh warehouse and storage
+  // directory and returns the (1-based) deltas after which the policy took
+  // a checkpoint. With `crash_after` > 0 the process crashes after that
+  // delta, and the stream goes on through the resumed instance, whose
+  // policy must count the backlog it carried over.
+  std::vector<int> PolicyCheckpointsAfter(const StorageOptions& options,
+                                          int crash_after) {
+    FaultVfs vfs;
+    Source source(context_.db, "s1");
+    Result<Warehouse> loaded = Warehouse::Load(spec_, source.db());
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Warehouse warehouse = std::move(loaded).value();
+    Result<std::unique_ptr<DurableWarehouse>> durable =
+        DurableWarehouse::Bootstrap(
+            &vfs, "wh", &warehouse,
+            JournalStamp{source.epoch(), source.last_sequence()}, options);
+    EXPECT_TRUE(durable.ok()) << durable.status().ToString();
+    DurableWarehouse* live = durable->get();
+    DurableWarehouse::Resumed resumed;
+    std::vector<int> triggers;
+    int index = 0;
+    for (const UpdateOp& op : HireStream()) {
+      ++index;
+      Result<CanonicalDelta> delta = source.Apply(op);
+      EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+      const uint64_t before = live->stats().policy_checkpoints;
+      Status status = live->Integrate(*delta, &source);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      if (live->stats().policy_checkpoints > before) {
+        triggers.push_back(index);
+      }
+      if (index == crash_after) {
+        vfs.CrashAndLose();
+        Result<DurableWarehouse::Resumed> result =
+            DurableWarehouse::Resume(&vfs, "wh", options);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        resumed = std::move(result).value();
+        live = resumed.durable.get();
+      }
+    }
+    return triggers;
+  }
+
   ScriptContext context_;
   std::shared_ptr<WarehouseSpec> spec_;
   std::unique_ptr<Source> source_;
@@ -162,6 +225,54 @@ TEST_F(StorageRecoveryTest, PolicyCheckpointBoundsTheJournal) {
   DWC_ASSERT_OK(resumed);
   EXPECT_LT(resumed->recovered.report.records_replayed, 2u);
   EXPECT_EQ(Fingerprint(*resumed->recovered.restored.warehouse), fingerprint);
+}
+
+TEST_F(StorageRecoveryTest, PolicyTriggersOnTheByteBound) {
+  // The bound counts the DELTA statements' unframed bytes: two deltas'
+  // statements fill it exactly. A probe source replays the same ops to
+  // learn their sizes up front.
+  Source probe(context_.db, "s1");
+  const UpdateOp first = {"Emp", {T({S("Nina"), I(27)})}, {}};
+  const UpdateOp second = {"Emp", {T({S("Omar"), I(31)})}, {}};
+  Result<CanonicalDelta> probe_first = probe.Apply(first);
+  Result<CanonicalDelta> probe_second = probe.Apply(second);
+  DWC_ASSERT_OK(probe_first);
+  DWC_ASSERT_OK(probe_second);
+  const size_t first_bytes = DeltaToScript(*probe_first).size();
+  StorageOptions options;
+  options.policy.max_bytes =
+      first_bytes + DeltaToScript(*probe_second).size();
+  std::unique_ptr<DurableWarehouse> durable = MustBootstrap(options);
+  MustIntegrate(durable.get(), first);
+  EXPECT_EQ(durable->stats().policy_checkpoints, 0u);
+  EXPECT_EQ(durable->stats().journal_bytes, first_bytes);
+  EXPECT_EQ(durable->stats().journal_records, 1u);
+  MustIntegrate(durable.get(), second);
+  EXPECT_EQ(durable->stats().policy_checkpoints, 1u);
+  EXPECT_EQ(durable->stats().journal_bytes, 0u);
+  EXPECT_EQ(durable->stats().journal_records, 0u);
+}
+
+TEST_F(StorageRecoveryTest, PolicyCadenceIsPinnedAcrossResume) {
+  // The deltas after which the fixed stream triggers a policy checkpoint.
+  // A crash mid-backlog must not move them: the resumed instance carries
+  // the replayed records' bytes and count over into its policy.
+  StorageOptions by_records;
+  by_records.policy.max_records = 3;
+  const std::vector<int> every_third = {3, 6, 9};
+  EXPECT_EQ(PolicyCheckpointsAfter(by_records, /*crash_after=*/0),
+            every_third);
+  EXPECT_EQ(PolicyCheckpointsAfter(by_records, /*crash_after=*/4),
+            every_third);
+  EXPECT_EQ(PolicyCheckpointsAfter(by_records, /*crash_after=*/8),
+            every_third);
+
+  StorageOptions by_bytes;
+  by_bytes.policy.max_bytes = 300;
+  const std::vector<int> by_size = {4, 8};
+  EXPECT_EQ(PolicyCheckpointsAfter(by_bytes, /*crash_after=*/0), by_size);
+  EXPECT_EQ(PolicyCheckpointsAfter(by_bytes, /*crash_after=*/2), by_size);
+  EXPECT_EQ(PolicyCheckpointsAfter(by_bytes, /*crash_after=*/6), by_size);
 }
 
 TEST_F(StorageRecoveryTest, CheckpointRotationSweepsOldSegmentsAndSnapshots) {
@@ -261,6 +372,113 @@ TEST_F(StorageRecoveryTest, WalNotContinuingTheStampIsRejected) {
   EXPECT_NE(resumed.status().message().find("does not continue"),
             std::string::npos)
       << resumed.status().message();
+}
+
+TEST_F(StorageRecoveryTest, WalContinuingTheStampReplays) {
+  // Checkpoint after the first delta, so a continuing log starts at the
+  // sequence after the stamp.
+  std::unique_ptr<DurableWarehouse> durable = MustBootstrap();
+  MustIntegrate(durable.get(), {"Sale", {T({S("radio"), S("Mary")})}, {}});
+  DWC_ASSERT_OK(durable->Checkpoint());
+  // Forge the log: two deltas logged without being integrated.
+  DWC_ASSERT_OK(
+      durable->Append(MustApply({"Emp", {T({S("Nina"), I(27)})}, {}})));
+  DWC_ASSERT_OK(
+      durable->Append(MustApply({"Sale", {T({S("camera"), S("Paula")})}, {}})));
+  Result<RecoveredStorage> recovered =
+      RecoveryManager(&vfs_, "wh").Recover(/*repair=*/false);
+  DWC_ASSERT_OK(recovered);
+  EXPECT_EQ(recovered->report.records_replayed, 2u);
+  EXPECT_EQ(recovered->report.resume,
+            (JournalStamp{source_->epoch(), source_->last_sequence()}));
+  DWC_ASSERT_OK(
+      CheckConsistency(*recovered->restored.warehouse, source_->db()));
+}
+
+TEST_F(StorageRecoveryTest, WalWithAnInternalGapIsRejected) {
+  std::unique_ptr<DurableWarehouse> durable = MustBootstrap();
+  CanonicalDelta first = MustApply({"Sale", {T({S("radio"), S("Mary")})}, {}});
+  MustApply({"Emp", {T({S("Nina"), I(27)})}, {}});  // Lost.
+  CanonicalDelta third =
+      MustApply({"Sale", {T({S("camera"), S("Paula")})}, {}});
+  // The first record continues the stamp; the second skips a sequence.
+  DWC_ASSERT_OK(durable->Append(first));
+  DWC_ASSERT_OK(durable->Append(third));
+  Result<DurableWarehouse::Resumed> resumed =
+      DurableWarehouse::Resume(&vfs_, "wh");
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find("gap"), std::string::npos)
+      << resumed.status().message();
+}
+
+TEST_F(StorageRecoveryTest, WalCrossingIntoANewEpochAtSequenceOneReplays) {
+  // A source restart opens a new epoch whose first delta is sequence 1:
+  // the log continues across the boundary.
+  std::unique_ptr<DurableWarehouse> durable = MustBootstrap();
+  DWC_ASSERT_OK(
+      durable->Append(MustApply({"Sale", {T({S("radio"), S("Mary")})}, {}})));
+  const uint64_t old_epoch = source_->epoch();
+  source_->BeginEpoch();
+  DWC_ASSERT_OK(
+      durable->Append(MustApply({"Emp", {T({S("Nina"), I(27)})}, {}})));
+  Result<RecoveredStorage> recovered =
+      RecoveryManager(&vfs_, "wh").Recover(/*repair=*/false);
+  DWC_ASSERT_OK(recovered);
+  EXPECT_EQ(recovered->report.records_replayed, 2u);
+  EXPECT_EQ(recovered->report.resume, (JournalStamp{old_epoch + 1, 1}));
+  DWC_ASSERT_OK(
+      CheckConsistency(*recovered->restored.warehouse, source_->db()));
+}
+
+TEST_F(StorageRecoveryTest, WalEnteringANewEpochPastSequenceOneIsRejected) {
+  std::unique_ptr<DurableWarehouse> durable = MustBootstrap();
+  DWC_ASSERT_OK(
+      durable->Append(MustApply({"Sale", {T({S("radio"), S("Mary")})}, {}})));
+  source_->BeginEpoch();
+  MustApply({"Emp", {T({S("Nina"), I(27)})}, {}});  // Lost: new epoch, seq 1.
+  CanonicalDelta second = MustApply({"Emp", {T({S("Omar"), I(31)})}, {}});
+  ASSERT_EQ(second.sequence, 2u);
+  DWC_ASSERT_OK(durable->Append(second));
+  Result<RecoveredStorage> recovered =
+      RecoveryManager(&vfs_, "wh").Recover(/*repair=*/false);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(recovered.status().message().find("gap"), std::string::npos)
+      << recovered.status().message();
+}
+
+TEST_F(StorageRecoveryTest, WalOpeningWithASkipRecordMayJumpPastTheStamp) {
+  std::unique_ptr<DurableWarehouse> durable = MustBootstrap();
+  MustIntegrate(durable.get(), {"Sale", {T({S("radio"), S("Mary")})}, {}});
+  DWC_ASSERT_OK(durable->Checkpoint());
+  const JournalStamp stamp = durable->stats().stamp;
+  // Three sequences consumed with nothing to replay (a resync folded them
+  // in), acknowledged by one skip record; then a data record continuing
+  // the skip.
+  for (const char* name : {"Nina", "Omar", "Pia"}) {
+    MustApply({"Emp", {T({S(name), I(30)})}, {}});
+  }
+  DWC_ASSERT_OK(
+      durable->NoteConsumed(source_->epoch(), source_->last_sequence()));
+  DWC_ASSERT_OK(
+      durable->Append(MustApply({"Sale", {T({S("camera"), S("Paula")})}, {}})));
+  // A stale acknowledgment at the stamp is already folded into the
+  // checkpoint: recovery skips it wherever it sits.
+  const std::string segment =
+      JoinPath("wh", WalSegmentName(durable->stats().segment_id));
+  Result<std::unique_ptr<VfsFile>> file = vfs_.OpenAppend(segment);
+  DWC_ASSERT_OK(file);
+  DWC_ASSERT_OK(
+      (*file)->Append(EncodeWalRecord(stamp.epoch, stamp.sequence, "")));
+  DWC_ASSERT_OK((*file)->Sync());
+  Result<RecoveredStorage> recovered =
+      RecoveryManager(&vfs_, "wh").Recover(/*repair=*/false);
+  DWC_ASSERT_OK(recovered);
+  EXPECT_EQ(recovered->report.records_replayed, 1u);
+  EXPECT_EQ(recovered->report.records_skipped, 2u);
+  EXPECT_EQ(recovered->report.resume,
+            (JournalStamp{source_->epoch(), source_->last_sequence()}));
 }
 
 TEST_F(StorageRecoveryTest, InspectDescribesTheDirectory) {

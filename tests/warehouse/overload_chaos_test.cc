@@ -116,8 +116,6 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {
     gov.max_read_queue = 4;
     gov.stale_only_queue_depth = 2;
     gov.maintenance_only_queue_depth = 4;
-    gov.stale_only_epoch_lag = 4;
-    gov.maintenance_only_epoch_lag = 64;
     governor_ = std::make_unique<Governor>(gov);
     for (const char* text :
          {"FactSales", "select[quantity >= 3](FactSales)",
@@ -294,7 +292,6 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {
         // breaker's logical clock through open → half-open.
         DrainOnce();
       }
-      governor_->ReportEpochLag(warehouse_->epoch_stats().retired_epochs);
     }
     // The storm is over; the source is healthy. Keep draining until the
     // half-open probe fires, the resync replays the deferred backlog, and

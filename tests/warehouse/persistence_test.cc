@@ -108,136 +108,5 @@ TEST(PersistenceTest, CorruptScriptFailsCleanly) {
   DWC_EXPECT_OK(trivial);
 }
 
-TEST(JournalAccountingTest, BytesEntriesAndWatermarks) {
-  DeltaJournal journal;
-  EXPECT_EQ(journal.bytes(), 0u);
-  EXPECT_FALSE(journal.has_sequenced());
-  journal.AppendScript("DELTA a;\n", 1, 1);
-  journal.AppendScript("DELTA b;\n", 1, 2);
-  EXPECT_EQ(journal.bytes(), 18u);
-  EXPECT_EQ(journal.entries(), 2u);
-  ASSERT_TRUE(journal.has_sequenced());
-  EXPECT_EQ(journal.first(), (JournalStamp{1, 1}));
-  EXPECT_EQ(journal.last(), (JournalStamp{1, 2}));
-  EXPECT_TRUE(journal.contiguous());
-  // A NoteConsumed jump is an acknowledged skip, not a gap.
-  journal.NoteConsumed(1, 7);
-  EXPECT_TRUE(journal.contiguous());
-  EXPECT_EQ(journal.last(), (JournalStamp{1, 7}));
-  journal.AppendScript("DELTA c;\n", 1, 8);
-  EXPECT_TRUE(journal.contiguous());
-  // A new epoch restarts at sequence 1.
-  journal.AppendScript("DELTA d;\n", 2, 1);
-  EXPECT_TRUE(journal.contiguous());
-  // ...but an *unacknowledged* jump is a gap.
-  journal.AppendScript("DELTA e;\n", 2, 5);
-  EXPECT_FALSE(journal.contiguous());
-  journal.Clear();
-  EXPECT_EQ(journal.bytes(), 0u);
-  EXPECT_TRUE(journal.contiguous());
-  EXPECT_FALSE(journal.has_sequenced());
-}
-
-TEST(JournalAccountingTest, PolicyTriggersOnEitherBound) {
-  JournalPolicy policy;
-  policy.max_bytes = 20;
-  policy.max_records = 3;
-  DeltaJournal journal;
-  EXPECT_FALSE(policy.ShouldCheckpoint(journal));
-  journal.AppendScript("0123456789", 1, 1);
-  EXPECT_FALSE(policy.ShouldCheckpoint(journal));
-  journal.AppendScript("0123456789", 1, 2);
-  EXPECT_TRUE(policy.ShouldCheckpoint(journal));  // 20 bytes.
-  DeltaJournal by_count;
-  by_count.AppendScript("a", 1, 1);
-  by_count.AppendScript("b", 1, 2);
-  EXPECT_FALSE(policy.ShouldCheckpoint(by_count));
-  by_count.AppendScript("c", 1, 3);
-  EXPECT_TRUE(policy.ShouldCheckpoint(by_count));  // 3 records.
-}
-
-class JournalValidationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ScriptContext context = MustRun(Figure1Script(/*with_constraints=*/true));
-    auto spec = std::make_shared<WarehouseSpec>(
-        *SpecifyWarehouse(context.catalog, context.views));
-    source_ = std::make_unique<Source>(context.db, "s1");
-    Result<Warehouse> warehouse = Warehouse::Load(spec, source_->db());
-    DWC_ASSERT_OK(warehouse);
-    warehouse_ = std::make_unique<Warehouse>(std::move(warehouse).value());
-    // Three sequenced deltas; checkpoint taken after the first, so the
-    // stamp is (epoch 1, seq 1) and a continuing journal starts at seq 2.
-    deltas_.push_back(MustApply({"Sale", {T({S("radio"), S("Mary")})}, {}}));
-    DWC_ASSERT_OK(warehouse_->Integrate(deltas_[0]));
-    Result<std::string> checkpoint = WarehouseToScript(*warehouse_);
-    DWC_ASSERT_OK(checkpoint);
-    checkpoint_ = *checkpoint;
-    // Seq 2 touches Emp, seq 3 touches Sale: the per-relation digests stay
-    // verifiable when seq 2 is (legitimately or not) absent from a replay.
-    deltas_.push_back(MustApply({"Emp", {T({S("Nina"), testing::I(27)})}, {}}));
-    deltas_.push_back(MustApply({"Sale", {T({S("camera"), S("Paula")})}, {}}));
-  }
-
-  CanonicalDelta MustApply(const UpdateOp& op) {
-    Result<CanonicalDelta> delta = source_->Apply(op);
-    EXPECT_TRUE(delta.ok()) << delta.status().ToString();
-    return std::move(delta).value();
-  }
-
-  std::unique_ptr<Source> source_;
-  std::unique_ptr<Warehouse> warehouse_;
-  std::vector<CanonicalDelta> deltas_;
-  std::string checkpoint_;
-  JournalStamp stamp_{1, 1};
-};
-
-TEST_F(JournalValidationTest, ContinuingJournalReplays) {
-  DeltaJournal journal;
-  journal.Append(deltas_[1]);
-  journal.Append(deltas_[2]);
-  Result<RestoredWarehouse> recovered =
-      RecoverWarehouse(checkpoint_, journal, stamp_);
-  DWC_ASSERT_OK(recovered);
-}
-
-TEST_F(JournalValidationTest, InternalGapIsRejected) {
-  DeltaJournal journal;
-  journal.Append(deltas_[0]);
-  journal.Append(deltas_[2]);  // Sequence 3 right after 1: a lost record.
-  Result<RestoredWarehouse> recovered = RecoverWarehouse(checkpoint_, journal);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(recovered.status().message().find("gap"), std::string::npos)
-      << recovered.status().message();
-}
-
-TEST_F(JournalValidationTest, JournalNotContinuingTheStampIsRejected) {
-  DeltaJournal journal;
-  journal.Append(deltas_[2]);  // First record seq 3; checkpoint stamp seq 1.
-  Result<RestoredWarehouse> recovered =
-      RecoverWarehouse(checkpoint_, journal, stamp_);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(recovered.status().message().find("does not continue"),
-            std::string::npos)
-      << recovered.status().message();
-  // Without the stamp the same journal replays (legacy overload: contiguity
-  // within the journal only) — the stamp is what catches the lost prefix.
-  DWC_EXPECT_OK(RecoverWarehouse(checkpoint_, journal));
-}
-
-TEST_F(JournalValidationTest, NoteFirstJournalMustLandPastTheStamp) {
-  DeltaJournal stale;
-  stale.NoteConsumed(1, 1);  // At the stamp — a replayed duplicate ack.
-  Result<RestoredWarehouse> recovered =
-      RecoverWarehouse(checkpoint_, stale, stamp_);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
-  DeltaJournal jump;
-  jump.NoteConsumed(1, 5);  // An acknowledged jump past the stamp is fine.
-  DWC_EXPECT_OK(RecoverWarehouse(checkpoint_, jump, stamp_));
-}
-
 }  // namespace
 }  // namespace dwc

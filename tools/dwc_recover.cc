@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     }
     std::cout << *report;
     // Resume-epoch preview. Snapshot epochs are process-local: whatever
-    // delivery stamp the journal carries, a warehouse resumed from this
+    // delivery stamp the WAL carries, a warehouse resumed from this
     // directory publishes its single recovered state as snapshot epoch 1
     // and counts upward from there (DESIGN.md §12).
     std::cout << "resume preview: recovered state would publish as snapshot "
