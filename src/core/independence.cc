@@ -61,16 +61,12 @@ struct SelectionView {
 std::vector<SelectionView> AvailableSelectionViews(
     const WarehouseSpec& spec, const IndependenceReport& report) {
   std::vector<SelectionView> result;
-  for (const ViewDef& view : spec.views()) {
-    if (report.available.count(view.name) == 0) {
+  for (const PsjView& view : spec.psj_views()) {
+    if (report.available.count(view.name) == 0 || view.bases.size() != 1 ||
+        !view.is_sj) {
       continue;
     }
-    Result<PsjView> analyzed = AnalyzePsj(view, spec.catalog());
-    if (!analyzed.ok() || analyzed->bases.size() != 1 || !analyzed->is_sj) {
-      continue;
-    }
-    result.push_back(SelectionView{view.name, analyzed->bases[0],
-                                   analyzed->predicate});
+    result.push_back(SelectionView{view.name, view.bases[0], view.predicate});
   }
   return result;
 }

@@ -1,6 +1,7 @@
 #ifndef DWC_CORE_PSJ_H_
 #define DWC_CORE_PSJ_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,52 @@ struct PsjView {
 
   bool InvolvesBase(const std::string& base) const;
 };
+
+// One place where a view's expression leaves the PSJ normal form, or, in a
+// well-formed join, names an attribute that no joined base provides.
+struct PsjViolation {
+  enum class Kind {
+    kUnknownBase,                // a name that is not a base relation of D
+    kRepeatedBase,               // a base joined a second time (a self-join)
+    kProjectionBelowJoin,        // a projection inside the join tree
+    kNonPsjOperator,             // union, difference, rename or empty
+    kUnknownProjectedAttribute,  // `attr` of the outermost projection
+    kUnknownSelectedAttribute,   // `attr` of the selection `node`
+  };
+  Kind kind;
+  ExprRef node;
+  std::string attr;  // Set for the two attribute kinds only.
+};
+
+// Everything one walk over a view's expression finds. It is the only PSJ
+// recogniser: the complement construction reads `psj`, and the linter
+// reads the rest to report every violation with its source position.
+struct PsjWalk {
+  // In walk order: the project/select prefix, then the join tree left to
+  // right. Below a non-PSJ operator only unknown names are recorded. Only
+  // a join tree without these is checked for unknown attributes: first the
+  // projection's (sorted), then each selection's (pre-order, each sorted).
+  std::vector<PsjViolation> violations;
+  // The outermost projection of the prefix (it determines Z), or null.
+  ExprRef projection;
+  // Projections of the prefix below the outermost one; they have no effect.
+  std::vector<ExprRef> shadowed_projections;
+  // Whether `projection` keeps every attribute of a well-formed join, and
+  // so has no effect.
+  bool projection_keeps_join = false;
+  // Every selection node of the expression, in pre-order, including those
+  // below a non-PSJ operator.
+  std::vector<ExprRef> selections;
+  // The decomposition when there is no violation. Otherwise empty, and
+  // `status` describes the first one (of unknown selected attributes, the
+  // least).
+  std::optional<PsjView> psj;
+  Status status;
+};
+
+// Walks `view` once against `catalog`, recording every violation rather
+// than stopping at the first.
+PsjWalk WalkPsj(const ViewDef& view, const Catalog& catalog);
 
 // Validates and decomposes `view` against `catalog`. Fails if the expression
 // uses operators outside PSJ (union, difference, rename), references unknown

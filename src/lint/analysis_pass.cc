@@ -26,201 +26,156 @@ SourceLocation RelationLoc(const LintInput& input, const std::string& name,
   return it == input.relation_locs.end() ? SourceLocation{} : it->second;
 }
 
-// The clause anchor of the view's outermost projection, falling back to
-// the view declaration.
-SourceLocation ProjectionLoc(const LintInput& input, const LintedView& view) {
-  ExprRef node = view.def.expr;
-  while (node != nullptr) {
-    if (node->kind() == Expr::Kind::kProject) {
-      SourceLocation loc = input.source_map.ClauseLoc(node);
-      if (!loc.valid()) {
-        loc = input.source_map.ExprLoc(node);
-      }
-      return loc.valid() ? loc : view.loc;
+std::string ClaimedName(const AnalysisResult& result,
+                        const std::string& base) {
+  for (const ViewDef& claimed : result.claimed_complements) {
+    if (claimed.expr != nullptr &&
+        claimed.expr->ReferencedNames().count(base) > 0) {
+      return claimed.name;
     }
-    if (node->kind() == Expr::Kind::kSelect) {
-      node = node->child();
-      continue;
-    }
-    break;
   }
-  return view.loc;
+  return base;
 }
 
-class SemanticPass : public LintPass {
- public:
-  const char* name() const override { return "semantic"; }
-  const char* description() const override {
-    return "static self-maintainability, invertibility and complement "
-           "usage (src/analysis/)";
+void ReportInvertibility(const LintInput& input, const AnalysisResult& result,
+                         DiagnosticSink* sink) {
+  // Without claimed complements the warehouse constructs C itself and
+  // W = V ∪ C is invertible by construction — nothing to verify.
+  if (result.claimed_complements.empty()) {
+    return;
   }
-
-  void Run(const LintInput& input, DiagnosticSink* sink) const override {
-    if (input.catalog == nullptr || input.views.empty()) {
-      return;
+  for (const BaseInvertibility& entry : result.invertibility.per_base) {
+    for (const InvertFinding& finding : entry.findings) {
+      switch (finding.kind) {
+        case InvertFindingKind::kMissingAttributes:
+          sink->Report(
+              "DWC-S002",
+              RelationLoc(input, ClaimedName(result, entry.base), entry.base),
+              StrCat("base relation '", entry.base,
+                     "' is not reconstructible: the claimed complement "
+                     "drops {", Join(finding.missing, ", "),
+                     "} (minimal missing-attribute witness)"),
+              entry.base);
+          break;
+        case InvertFindingKind::kNoResidual:
+        case InvertFindingKind::kUnverifiedSubtraction:
+          sink->Report(
+              "DWC-S003",
+              RelationLoc(input, ClaimedName(result, entry.base), entry.base),
+              StrCat("base relation '", entry.base,
+                     "' has no verified residual store: ", finding.detail),
+              entry.base);
+          break;
+      }
     }
-    AnalysisInput ain;
-    ain.catalog = input.catalog;
-    for (const LintedView& view : input.views) {
-      ain.views.push_back(view.def);
-    }
-    for (const LintedQuery& query : input.queries) {
-      ain.queries.push_back(query.expr);
-    }
-    AnalysisResult result = AnalyzeWarehouse(ain);
-
-    ReportInvertibility(input, result, sink);
-    if (!result.spec.has_value()) {
-      // Not a valid PSJ warehouse; the shape passes own those findings and
-      // the maintenance/usage engines have nothing sound to say.
-      return;
-    }
-    ReportSelfMaintenance(input, result, sink);
-    ReportLossyProjections(input, result, sink);
-    ReportComplementUsage(input, result, sink);
   }
+}
 
- private:
-  static void ReportInvertibility(const LintInput& input,
-                                  const AnalysisResult& result,
-                                  DiagnosticSink* sink) {
-    // Without claimed complements the warehouse constructs C itself and
-    // W = V ∪ C is invertible by construction — nothing to verify.
-    if (result.claimed_complements.empty()) {
-      return;
+void ReportSelfMaintenance(const LintInput& input,
+                           const AnalysisResult& result,
+                           DiagnosticSink* sink) {
+  for (const SelfMaintCertificate& cert : result.selfmaint.certificates) {
+    if (cert.verdict != MaintVerdict::kSource) {
+      continue;
     }
-    for (const BaseInvertibility& entry : result.invertibility.per_base) {
-      for (const InvertFinding& finding : entry.findings) {
-        switch (finding.kind) {
-          case InvertFindingKind::kMissingAttributes:
-            sink->Report(
-                "DWC-S002",
-                RelationLoc(input, ClaimedName(result, entry.base),
-                            entry.base),
-                StrCat("base relation '", entry.base,
-                       "' is not reconstructible: the claimed complement "
-                       "drops {", Join(finding.missing, ", "),
-                       "} (minimal missing-attribute witness)"),
-                entry.base);
-            break;
-          case InvertFindingKind::kNoResidual:
-          case InvertFindingKind::kUnverifiedSubtraction:
-            sink->Report(
-                "DWC-S003",
-                RelationLoc(input, ClaimedName(result, entry.base),
-                            entry.base),
-                StrCat("base relation '", entry.base,
-                       "' has no verified residual store: ", finding.detail),
-                entry.base);
-            break;
+    sink->Report(
+        "DWC-S001", RelationLoc(input, cert.relation, cert.base),
+        StrCat("maintenance of '", cert.relation, "' under a ", cert.base,
+               " ", DeltaKindName(cert.kind),
+               " is classified SOURCE; integration must re-query the "
+               "source (reads: ", Join(cert.reads, ", "), ")"),
+        cert.relation);
+  }
+}
+
+void ReportLossyProjections(const LintInput& input,
+                            const LintAnalysis& analysis,
+                            DiagnosticSink* sink) {
+  DataflowAnalyzer analyzer(input.catalog.get());
+  // What every user view together still exposes, per base.
+  std::map<std::string, AttrSet> exposed;
+  for (const ViewDef& view : analysis.semantic.user_views) {
+    const NodeFacts& facts = analyzer.Analyze(view.expr);
+    for (const auto& [base, attrs] : facts.provenance) {
+      exposed[base].insert(attrs.begin(), attrs.end());
+    }
+  }
+  std::set<std::string> reported;
+  for (size_t i = 0; i < input.views.size(); ++i) {
+    const LintedView& view = input.views[i];
+    if (IsClaimedComplementName(view.def.name)) {
+      continue;
+    }
+    const NodeFacts& facts = analyzer.Analyze(view.def.expr);
+    for (const auto& [base, dropped] : facts.dropped) {
+      AttrSet unexposed;
+      for (const std::string& attr : dropped) {
+        if (exposed[base].count(attr) == 0) {
+          unexposed.insert(attr);
         }
       }
-    }
-  }
-
-  static std::string ClaimedName(const AnalysisResult& result,
-                                 const std::string& base) {
-    for (const ViewDef& claimed : result.claimed_complements) {
-      if (claimed.expr != nullptr &&
-          claimed.expr->ReferencedNames().count(base) > 0) {
-        return claimed.name;
-      }
-    }
-    return base;
-  }
-
-  static void ReportSelfMaintenance(const LintInput& input,
-                                    const AnalysisResult& result,
-                                    DiagnosticSink* sink) {
-    for (const SelfMaintCertificate& cert : result.selfmaint.certificates) {
-      if (cert.verdict != MaintVerdict::kSource) {
+      if (unexposed.empty() || !reported.insert(base).second) {
         continue;
       }
       sink->Report(
-          "DWC-S001", RelationLoc(input, cert.relation, cert.base),
-          StrCat("maintenance of '", cert.relation, "' under a ", cert.base,
-                 " ", DeltaKindName(cert.kind),
-                 " is classified SOURCE; integration must re-query the "
-                 "source (reads: ", Join(cert.reads, ", "), ")"),
-          cert.relation);
+          "DWC-S004",
+          ClauseAnchor(input, view, analysis.walks[i].projection),
+          StrCat("no view exposes {", Join(unexposed, ", "),
+                 "} of base relation '", base,
+                 "'; those attributes are recoverable only through the "
+                 "complement"),
+          base);
     }
   }
+}
 
-  static void ReportLossyProjections(const LintInput& input,
-                                     const AnalysisResult& result,
-                                     DiagnosticSink* sink) {
-    DataflowAnalyzer analyzer(input.catalog.get());
-    // What every user view together still exposes, per base.
-    std::map<std::string, AttrSet> exposed;
-    for (const ViewDef& view : result.user_views) {
-      const NodeFacts& facts = analyzer.Analyze(view.expr);
-      for (const auto& [base, attrs] : facts.provenance) {
-        exposed[base].insert(attrs.begin(), attrs.end());
+void ReportComplementUsage(const LintInput& input,
+                           const AnalysisResult& result,
+                           DiagnosticSink* sink) {
+  auto base_of = [&result](const std::string& complement) {
+    const auto& per_base = result.spec->complement().per_base;
+    for (const BaseComplementInfo& info : per_base) {
+      if (info.complement_name == complement) {
+        return info.base;
       }
     }
-    std::set<std::string> reported;
-    for (const LintedView& view : input.views) {
-      if (IsClaimedComplementName(view.def.name)) {
-        continue;
-      }
-      const NodeFacts& facts = analyzer.Analyze(view.def.expr);
-      for (const auto& [base, dropped] : facts.dropped) {
-        AttrSet unexposed;
-        for (const std::string& attr : dropped) {
-          if (exposed[base].count(attr) == 0) {
-            unexposed.insert(attr);
-          }
-        }
-        if (unexposed.empty() || !reported.insert(base).second) {
-          continue;
-        }
-        sink->Report(
-            "DWC-S004", ProjectionLoc(input, view),
-            StrCat("no view exposes {", Join(unexposed, ", "),
-                   "} of base relation '", base,
-                   "'; those attributes are recoverable only through the "
-                   "complement"),
-            base);
-      }
-    }
+    return complement;
+  };
+  for (const auto& [name, dead] : result.usage.dead_columns) {
+    sink->Report(
+        "DWC-S005", RelationLoc(input, name, base_of(name)),
+        StrCat("complement relation '", name, "' columns {", Join(dead, ", "),
+               "} are read by no maintenance expression and no query"),
+        name);
   }
-
-  static void ReportComplementUsage(const LintInput& input,
-                                    const AnalysisResult& result,
-                                    DiagnosticSink* sink) {
-    auto base_of = [&result](const std::string& complement) {
-      const auto& per_base = result.spec->complement().per_base;
-      for (const BaseComplementInfo& info : per_base) {
-        if (info.complement_name == complement) {
-          return info.base;
-        }
-      }
-      return complement;
-    };
-    for (const auto& [name, dead] : result.usage.dead_columns) {
-      sink->Report(
-          "DWC-S005", RelationLoc(input, name, base_of(name)),
-          StrCat("complement relation '", name, "' columns {",
-                 Join(dead, ", "),
-                 "} are read by no maintenance expression and no query"),
-          name);
-    }
-    for (const std::string& name : result.usage.dead_relations) {
-      sink->Report(
-          "DWC-S006", RelationLoc(input, name, base_of(name)),
-          StrCat("complement relation '", name,
-                 "' is read by no view maintenance expression and no "
-                 "query; the views are maintainable without it"),
-          name);
-    }
+  for (const std::string& name : result.usage.dead_relations) {
+    sink->Report(
+        "DWC-S006", RelationLoc(input, name, base_of(name)),
+        StrCat("complement relation '", name,
+               "' is read by no view maintenance expression and no "
+               "query; the views are maintainable without it"),
+        name);
   }
-};
+}
 
 }  // namespace
 
-const LintPass* SemanticAnalysisPass() {
-  static const SemanticPass pass;
-  return &pass;
+void ReportSemanticFindings(const LintInput& input,
+                            const LintAnalysis& analysis,
+                            DiagnosticSink* sink) {
+  if (input.catalog == nullptr || input.views.empty()) {
+    return;
+  }
+  const AnalysisResult& result = analysis.semantic;
+  ReportInvertibility(input, result, sink);
+  if (!result.spec.has_value()) {
+    // Not a valid PSJ warehouse; the shape pass owns those findings and
+    // the maintenance/usage engines have nothing sound to say.
+    return;
+  }
+  ReportSelfMaintenance(input, result, sink);
+  ReportLossyProjections(input, analysis, sink);
+  ReportComplementUsage(input, result, sink);
 }
 
 }  // namespace dwc

@@ -195,8 +195,6 @@ std::string FormatDiagnosticsText(const std::vector<Diagnostic>& diagnostics,
   return out;
 }
 
-namespace {
-
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -230,8 +228,6 @@ std::string JsonEscape(std::string_view text) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string FormatDiagnosticsJson(const std::vector<Diagnostic>& diagnostics,
                                   std::string_view file) {

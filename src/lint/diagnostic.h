@@ -88,6 +88,10 @@ std::string FormatDiagnostic(const Diagnostic& diagnostic,
 std::string FormatDiagnosticsText(const std::vector<Diagnostic>& diagnostics,
                                   std::string_view file);
 
+// `text` as the body of a JSON string literal: quotes, backslashes and
+// control characters escaped.
+std::string JsonEscape(std::string_view text);
+
 // A JSON object {"file": ..., "diagnostics": [...], "errors": N,
 // "warnings": N, "notes": N}. Unknown locations serialize as line 0.
 std::string FormatDiagnosticsJson(const std::vector<Diagnostic>& diagnostics,

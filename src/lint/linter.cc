@@ -59,9 +59,7 @@ LintReport ReportFromSink(DiagnosticSink sink) {
 }
 
 LintReport RunPasses(const LintInput& input, DiagnosticSink sink) {
-  for (const LintPass* pass : AllLintPasses()) {
-    pass->Run(input, &sink);
-  }
+  RunLintPasses(input, AnalyzeLintInput(input), &sink);
   return ReportFromSink(std::move(sink));
 }
 

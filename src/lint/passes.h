@@ -3,39 +3,44 @@
 
 #include <vector>
 
+#include "analysis/analyzer.h"
+#include "core/psj.h"
 #include "lint/diagnostic.h"
 #include "lint/spec.h"
 
 namespace dwc {
 
-// One analysis pass over a warehouse specification. Passes are stateless
-// and independent: each reports every finding it can see and never aborts,
-// so a single run surfaces all problems at once (unlike AnalyzeAllPsj,
-// which stops at the first offender).
-class LintPass {
- public:
-  virtual ~LintPass() = default;
-  // Stable pass name, e.g. "psj-shape" (usable for pass selection).
-  virtual const char* name() const = 0;
-  virtual const char* description() const = 0;
-  virtual void Run(const LintInput& input, DiagnosticSink* sink) const = 0;
+// What the passes read besides the input itself: the PSJ walk of each view
+// (parallel to LintInput::views) and the semantic analysis of the script.
+struct LintAnalysis {
+  std::vector<PsjWalk> walks;
+  AnalysisResult semantic;
 };
 
-// The registered passes in execution order:
-//   psj-shape       DWC-E002/E003/E004/E005, DWC-W006/W007
-//   ind-cycles      DWC-E006
-//   predicates      DWC-W001/W002
-//   key-coverage    DWC-W003/W004, DWC-N002
-//   redundant-views DWC-W005
-//   canonical-duplicates DWC-N003/N004
-//   semantic        DWC-S001..S006 (src/analysis/ verdict engines)
-const std::vector<const LintPass*>& AllLintPasses();
+// Walks every view and runs AnalyzeWarehouse, once each.
+LintAnalysis AnalyzeLintInput(const LintInput& input);
 
-// The semantic pass alone (defined in analysis_pass.cc): runs the
-// self-maintainability, invertibility and complement-usage engines over
-// the spec and reports their verdicts as diagnostics. Silent when the
-// views do not form a valid warehouse (shape passes own those findings).
-const LintPass* SemanticAnalysisPass();
+// Runs every pass in this order. Each reports all it sees and never aborts,
+// so one run surfaces every problem at once (unlike AnalyzeAllPsj, which
+// stops at the first offender). DiagnosticSink::Sort is stable, so this
+// order breaks the ties it leaves.
+//   shape                DWC-E002/E003/E004/E005, DWC-W006/W007
+//   ind-cycles           DWC-E006
+//   predicates           DWC-W001/W002
+//   key-coverage         DWC-W003/W004, DWC-N002
+//   redundant-views      DWC-W005
+//   canonical-duplicates DWC-N003/N004
+//   semantic             DWC-S001..S006 (src/analysis/ verdict engines)
+void RunLintPasses(const LintInput& input, const LintAnalysis& analysis,
+                   DiagnosticSink* sink);
+
+// The semantic pass alone (defined in analysis_pass.cc): reports the
+// self-maintainability, invertibility and complement-usage verdicts of
+// `analysis.semantic` as diagnostics. Silent when the views do not form a
+// valid warehouse (the shape pass owns those findings).
+void ReportSemanticFindings(const LintInput& input,
+                            const LintAnalysis& analysis,
+                            DiagnosticSink* sink);
 
 }  // namespace dwc
 

@@ -8,40 +8,6 @@ namespace dwc {
 
 namespace {
 
-std::string Escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // SARIF's result levels: error / warning / note match our severities.
 const char* SarifLevel(LintSeverity severity) {
   return LintSeverityName(severity);
@@ -68,11 +34,11 @@ std::string FormatSarif(const std::vector<SarifFileResults>& files,
       rules += ", ";
     }
     first_rule = false;
-    rules += StrCat("{\"id\": \"", Escape(rule.id),
+    rules += StrCat("{\"id\": \"", JsonEscape(rule.id),
                     "\", \"shortDescription\": {\"text\": \"",
-                    Escape(rule.summary), "\"}");
+                    JsonEscape(rule.summary), "\"}");
     if (!std::string_view(rule.paper_ref).empty()) {
-      rules += StrCat(", \"help\": {\"text\": \"", Escape(rule.paper_ref),
+      rules += StrCat(", \"help\": {\"text\": \"", JsonEscape(rule.paper_ref),
                       "\"}");
     }
     rules += "}";
@@ -87,14 +53,14 @@ std::string FormatSarif(const std::vector<SarifFileResults>& files,
       }
       first_result = false;
       results += StrCat(
-          "{\"ruleId\": \"", Escape(d.rule), "\", \"level\": \"",
+          "{\"ruleId\": \"", JsonEscape(d.rule), "\", \"level\": \"",
           SarifLevel(d.severity), "\", \"message\": {\"text\": \"",
-          Escape(d.message), "\"}");
+          JsonEscape(d.message), "\"}");
       if (!file.file.empty()) {
         results += StrCat(
             ", \"locations\": [{\"physicalLocation\": "
             "{\"artifactLocation\": {\"uri\": \"",
-            Escape(file.file), "\"}");
+            JsonEscape(file.file), "\"}");
         if (d.loc.valid()) {
           results += StrCat(", \"region\": {\"startLine\": ", d.loc.line,
                             ", \"startColumn\": ", d.loc.column, "}");
@@ -110,7 +76,7 @@ std::string FormatSarif(const std::vector<SarifFileResults>& files,
       "\"https://json.schemastore.org/sarif-2.1.0.json\", "
       "\"version\": \"2.1.0\", \"runs\": [{\"tool\": {\"driver\": "
       "{\"name\": \"",
-      Escape(tool_name),
+      JsonEscape(tool_name),
       "\", \"informationUri\": "
       "\"https://github.com/dwc/dwc\", \"rules\": [",
       rules, "]}}, \"results\": [", results, "]}]}");

@@ -81,6 +81,15 @@ bool CheckInclusion(const InclusionStmt& stmt, const Catalog& catalog,
 
 }  // namespace
 
+SourceLocation ClauseAnchor(const LintInput& input, const LintedView& view,
+                            const ExprRef& node) {
+  SourceLocation loc = input.source_map.ClauseLoc(node);
+  if (!loc.valid()) {
+    loc = input.source_map.ExprLoc(node);
+  }
+  return loc.valid() ? loc : view.loc;
+}
+
 LintInput BuildLintInput(const ParsedProgram& program, DiagnosticSink* sink) {
   LintInput input;
   auto catalog = std::make_shared<Catalog>();

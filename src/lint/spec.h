@@ -50,6 +50,13 @@ struct LintInput {
   SourceMap source_map;
 };
 
+// Where a finding about `node` in `view` points: the node's clause (the
+// projection list, the selection predicate) so that multi-line definitions
+// point at the right line, else the node itself, else the view's
+// declaration. A null node gives the view's declaration.
+SourceLocation ClauseAnchor(const LintInput& input, const LintedView& view,
+                            const ExprRef& node);
+
 // Walks a parsed script, reporting declaration-level findings (duplicate
 // declarations, malformed INDs, INSERT/DELETE into unknown relations) and
 // assembling the input for the analysis passes. Invalid declarations are

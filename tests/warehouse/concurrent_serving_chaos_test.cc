@@ -186,42 +186,59 @@ class ConcurrentServingChaosTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_TRUE(drained.ok()) << drained.ToString();
   }
 
-  // One reader: pin, verify the pinned epoch against the oracle, release,
-  // repeat until the writer finishes.
+  // One pass of a reader: pin, verify the pinned epoch against the oracle,
+  // release. Sets *passed unless an ASSERT failed (which returns early); a
+  // pass the lag bound shed still passes.
+  void VerifyOnce(Rng* rng, std::atomic<uint64_t>* verified,
+                  std::atomic<uint64_t>* shed_seen, bool* passed) {
+    *passed = false;
+    SnapshotHandle snapshot = warehouse_->PinSnapshot();
+    ASSERT_TRUE(snapshot.valid());
+    EpochOracle oracle;
+    ASSERT_TRUE(WaitForOracle(snapshot.epoch(), &oracle))
+        << "oracle for epoch " << snapshot.epoch() << " never recorded";
+    // Exactly one committed epoch's digests — every relation version.
+    ASSERT_EQ(snapshot.relations().size(), oracle.relation_digests.size());
+    for (const auto& [name, rel] : snapshot.relations()) {
+      auto it = oracle.relation_digests.find(name);
+      ASSERT_NE(it, oracle.relation_digests.end()) << name;
+      ASSERT_EQ(RelationDigest(*rel), it->second)
+          << "relation '" << name << "' at epoch " << snapshot.epoch()
+          << " does not match the committed state";
+    }
+    // And every answer evaluated through the snapshot matches what the
+    // writer computed when it published the epoch.
+    size_t q = rng->Below(queries_.size());
+    Result<Relation> answer = warehouse_->AnswerQueryAt(snapshot, queries_[q]);
+    if (!answer.ok()) {
+      // The lag bound may shed a slow reader; anything else is a bug.
+      ASSERT_EQ(answer.status().code(), StatusCode::kAborted)
+          << answer.status().ToString();
+      shed_seen->fetch_add(1, std::memory_order_relaxed);
+      *passed = true;
+      return;
+    }
+    ASSERT_EQ(RelationDigest(*answer), oracle.query_digests[q])
+        << "query " << q << " at epoch " << snapshot.epoch();
+    verified->fetch_add(1, std::memory_order_relaxed);
+    *passed = true;
+  }
+
+  // One reader: a first pass, then the start barrier, then passes until the
+  // writer finishes or a pass fails. The barrier is reached after a failed
+  // first pass too, so a failure fails the test instead of hanging it.
   void ReaderLoop(uint64_t reader_seed, std::atomic<uint64_t>* verified,
                   std::atomic<uint64_t>* shed_seen) {
     Rng rng(reader_seed);
-    while (!done_.load(std::memory_order_acquire)) {
-      SnapshotHandle snapshot = warehouse_->PinSnapshot();
-      ASSERT_TRUE(snapshot.valid());
-      EpochOracle oracle;
-      ASSERT_TRUE(WaitForOracle(snapshot.epoch(), &oracle))
-          << "oracle for epoch " << snapshot.epoch() << " never recorded";
-      // Exactly one committed epoch's digests — every relation version.
-      ASSERT_EQ(snapshot.relations().size(),
-                oracle.relation_digests.size());
-      for (const auto& [name, rel] : snapshot.relations()) {
-        auto it = oracle.relation_digests.find(name);
-        ASSERT_NE(it, oracle.relation_digests.end()) << name;
-        ASSERT_EQ(RelationDigest(*rel), it->second)
-            << "relation '" << name << "' at epoch " << snapshot.epoch()
-            << " does not match the committed state";
-      }
-      // And every answer evaluated through the snapshot matches what the
-      // writer computed when it published the epoch.
-      size_t q = rng.Below(queries_.size());
-      Result<Relation> answer =
-          warehouse_->AnswerQueryAt(snapshot, queries_[q]);
-      if (!answer.ok()) {
-        // The lag bound may shed a slow reader; anything else is a bug.
-        ASSERT_EQ(answer.status().code(), StatusCode::kAborted)
-            << answer.status().ToString();
-        shed_seen->fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      ASSERT_EQ(RelationDigest(*answer), oracle.query_digests[q])
-          << "query " << q << " at epoch " << snapshot.epoch();
-      verified->fetch_add(1, std::memory_order_relaxed);
+    bool passed = false;
+    VerifyOnce(&rng, verified, shed_seen, &passed);
+    {
+      std::lock_guard<std::mutex> lock(start_mu_);
+      ++readers_started_;
+    }
+    start_cv_.notify_all();
+    while (passed && !done_.load(std::memory_order_acquire)) {
+      VerifyOnce(&rng, verified, shed_seen, &passed);
     }
   }
 
@@ -235,6 +252,14 @@ class ConcurrentServingChaosTest : public ::testing::TestWithParam<uint64_t> {
         ReaderLoop(GetParam() * 977 + static_cast<uint64_t>(r), &verified,
                    &shed_seen);
       });
+    }
+    // The writer starts only once every reader has made its first pass:
+    // a writer that finished before any reader ran would leave nothing
+    // verified.
+    {
+      std::unique_lock<std::mutex> lock(start_mu_);
+      start_cv_.wait(lock,
+                     [this] { return readers_started_ == kReaderThreads; });
     }
     WriterLoop();
     done_.store(true, std::memory_order_release);
@@ -263,6 +288,11 @@ class ConcurrentServingChaosTest : public ::testing::TestWithParam<uint64_t> {
   std::condition_variable oracle_cv_;
   std::map<uint64_t, EpochOracle> oracle_;
   std::atomic<bool> done_{false};
+
+  // The start barrier: readers that have made their first pass.
+  std::mutex start_mu_;
+  std::condition_variable start_cv_;
+  int readers_started_ = 0;
 };
 
 TEST_P(ConcurrentServingChaosTest, CleanChannelStorm) {

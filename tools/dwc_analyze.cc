@@ -69,30 +69,7 @@ bool ReadInput(const std::string& file, std::string* out) {
   return true;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using dwc::JsonEscape;
 
 std::string CertificatesJson(const dwc::AnalysisResult& result) {
   std::string out = "[";
@@ -198,7 +175,7 @@ int main(int argc, char** argv) {
     std::string label = file == "-" ? "<stdin>" : file;
 
     dwc::DiagnosticSink sink;
-    dwc::AnalysisResult result;
+    dwc::LintAnalysis analysis;
     dwc::Result<dwc::ParsedProgram> program =
         dwc::ParseProgramWithLocations(source);
     if (!program.ok()) {
@@ -206,17 +183,10 @@ int main(int argc, char** argv) {
                   std::string(program.status().message()));
     } else {
       dwc::LintInput input = dwc::BuildLintInput(*program, &sink);
-      dwc::SemanticAnalysisPass()->Run(input, &sink);
-      dwc::AnalysisInput ain;
-      ain.catalog = input.catalog;
-      for (const dwc::LintedView& view : input.views) {
-        ain.views.push_back(view.def);
-      }
-      for (const dwc::LintedQuery& query : input.queries) {
-        ain.queries.push_back(query.expr);
-      }
-      result = dwc::AnalyzeWarehouse(ain);
+      analysis = dwc::AnalyzeLintInput(input);
+      dwc::ReportSemanticFindings(input, analysis, &sink);
     }
+    const dwc::AnalysisResult& result = analysis.semantic;
     sink.Sort();
 
     switch (options.format) {
