@@ -12,6 +12,9 @@
 // reconstructing base relations through inverses. With referential
 // integrity, inverses collapse (Example 2.4) and the gap narrows. A query
 // that is a view's definition (Q4) reads the view and skips the inverses.
+// Q3, Emp's clerks without a sale, plans to π[clerk](C_Emp): the stored
+// complement's disjointness facts drop both subtracted arms (DESIGN §9),
+// so the warehouse reads C_Emp where the source subtracts all of Sale.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +33,7 @@ const char* Queries[] = {
     "project[clerk](Sale) union project[clerk](Emp)",
     // Q2: selective join (Section 3).
     "project[age](select[item = 12345](Sale) join Emp)",
-    // Q3: anti-join-ish difference.
+    // Q3: anti-join-ish difference; answered from C_Emp alone.
     "project[clerk](Emp) minus project[clerk](Sale)",
     // Q4: Sold's own definition, answered by reading Sold.
     "Sale join Emp",

@@ -14,8 +14,10 @@ std::shared_ptr<const Relation> Alias(const Relation* rel) {
   return std::shared_ptr<const Relation>(rel, [](const Relation*) {});
 }
 
+// The relation is built non-const, so that Materialize may move out of a
+// result nobody else holds.
 std::shared_ptr<const Relation> Own(Relation rel) {
-  return std::make_shared<const Relation>(std::move(rel));
+  return std::make_shared<Relation>(std::move(rel));
 }
 
 // Output attribute names of `expr` without evaluating it; nullopt if a name
@@ -380,8 +382,15 @@ Result<std::shared_ptr<const Relation>> Evaluator::Eval(const Expr& expr) {
 }
 
 Result<Relation> Evaluator::Materialize(const Expr& expr) {
-  DWC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rel, Eval(expr));
-  return Relation(*rel);
+  DWC_ASSIGN_OR_RETURN(EvalOut out, EvalInternal(expr));
+  // A result this evaluator built and holds alone (Own) is moved out. An
+  // environment alias is stable (its no-op deleter leaves use_count at 1),
+  // and so is a cache hit; a result the cache stored has a use_count of at
+  // least 2. Those are copied.
+  if (!out.stable && out.rel.use_count() == 1) {
+    return std::move(const_cast<Relation&>(*out.rel));
+  }
+  return Relation(*out.rel);
 }
 
 size_t Evaluator::EstimateSize(const Expr& expr) const {

@@ -113,7 +113,9 @@ class Evaluator {
   // The result is invalidated by mutating the aliased relation.
   Result<std::shared_ptr<const Relation>> Eval(const Expr& expr);
 
-  // Returns an owned copy of the result.
+  // Returns the result as an owned relation: moved out when the evaluator
+  // built it and holds it alone, copied otherwise (a bound relation, or a
+  // result the subplan cache holds).
   Result<Relation> Materialize(const Expr& expr);
 
   // Counters accumulated across all evaluations by this evaluator.

@@ -25,6 +25,33 @@ Status CheckNames(const ExprRef& query, const WarehouseSpec& spec) {
   return Status::Ok();
 }
 
+// `expr` over new children (a unary node's child is `left`); `expr` itself
+// when they are its own.
+ExprRef WithChildren(const ExprRef& expr, const ExprRef& left,
+                     const ExprRef& right) {
+  if (left == expr->left() && right == expr->right()) {
+    return expr;
+  }
+  switch (expr->kind()) {
+    case Expr::Kind::kSelect:
+      return Expr::Select(expr->predicate(), left);
+    case Expr::Kind::kProject:
+      return Expr::Project(expr->attrs(), left);
+    case Expr::Kind::kRename:
+      return Expr::Rename(expr->renames(), left);
+    case Expr::Kind::kJoin:
+      return Expr::Join(left, right);
+    case Expr::Kind::kUnion:
+      return Expr::Union(left, right);
+    case Expr::Kind::kDifference:
+      return Expr::Difference(left, right);
+    case Expr::Kind::kEmpty:
+    case Expr::Kind::kBase:
+      break;
+  }
+  return expr;
+}
+
 // A query subexpression in the normal form [π_B] [σ_p] (R1 ⋈ … ⋈ Rk): the
 // Ri are distinct base relations and every selection sits above the joins.
 // Pulling one up is always sound, σ_p(E1) ⋈ E2 = σ_p(E1 ⋈ E2), because a
@@ -176,27 +203,19 @@ ExprRef MatchNode(const ExprRef& expr, const WarehouseSpec& spec,
     case Expr::Kind::kProject:
     case Expr::Kind::kRename: {
       std::optional<Block> inner;
-      ExprRef child = MatchNode(expr->child(), spec, &inner);
+      rebuilt = WithChildren(expr, MatchNode(expr->child(), spec, &inner),
+                             nullptr);
+      if (!inner.has_value()) {
+        break;
+      }
       if (expr->kind() == Expr::Kind::kSelect) {
-        if (child != expr->child()) {
-          rebuilt = Expr::Select(expr->predicate(), child);
-        }
-        if (inner.has_value()) {
-          // σ_p π_B E = π_B σ_p E: a selection over a projection joins the
-          // block's selection too.
-          inner->predicate = Conjoin(expr->predicate(), inner->predicate);
-          *block = std::move(inner);
-        }
+        // σ_p π_B E = π_B σ_p E: a selection over a projection joins the
+        // block's selection too.
+        inner->predicate = Conjoin(expr->predicate(), inner->predicate);
+        *block = std::move(inner);
       } else if (expr->kind() == Expr::Kind::kProject) {
-        if (child != expr->child()) {
-          rebuilt = Expr::Project(expr->attrs(), child);
-        }
-        if (inner.has_value()) {
-          inner->projection = &expr->attrs();
-          *block = std::move(inner);
-        }
-      } else if (child != expr->child()) {
-        rebuilt = Expr::Rename(expr->renames(), child);
+        inner->projection = &expr->attrs();
+        *block = std::move(inner);
       }
       break;
     }
@@ -207,11 +226,7 @@ ExprRef MatchNode(const ExprRef& expr, const WarehouseSpec& spec,
       std::optional<Block> right;
       ExprRef l = MatchNode(expr->left(), spec, &left);
       ExprRef r = MatchNode(expr->right(), spec, &right);
-      if (l != expr->left() || r != expr->right()) {
-        rebuilt = expr->kind() == Expr::Kind::kJoin  ? Expr::Join(l, r)
-                  : expr->kind() == Expr::Kind::kUnion ? Expr::Union(l, r)
-                                                       : Expr::Difference(l, r);
-      }
+      rebuilt = WithChildren(expr, l, r);
       if (expr->kind() == Expr::Kind::kJoin && left.has_value() &&
           right.has_value() && left->projection == nullptr &&
           right->projection == nullptr &&
@@ -246,6 +261,80 @@ ExprRef MatchViews(const ExprRef& query, const WarehouseSpec& spec) {
   return MatchNode(query, spec, &block);
 }
 
+// True when `arm` is [π_A][σ…](name) with `on` ⊆ A at every projection:
+// the arm's rows are then rows of `name` (selections only shrink), and two
+// rows that differ on `on` stay different.
+bool ReadsKeeping(const ExprRef& arm, const std::string& name,
+                  const AttrSet& on) {
+  const Expr* node = arm.get();
+  while (node->kind() == Expr::Kind::kSelect ||
+         node->kind() == Expr::Kind::kProject) {
+    if (node->kind() == Expr::Kind::kProject && !AllIn(on, node->attrs())) {
+      return false;
+    }
+    node = node->child().get();
+  }
+  return node->kind() == Expr::Kind::kBase && node->base_name() == name;
+}
+
+// True when a fact of the spec proves `x` and `y` disjoint.
+bool ProvablyDisjoint(const ExprRef& x, const ExprRef& y,
+                      const WarehouseSpec& spec) {
+  return std::any_of(
+      spec.disjoint_facts().begin(), spec.disjoint_facts().end(),
+      [&](const DisjointFact& fact) {
+        return (ReadsKeeping(x, fact.left, fact.on) &&
+                ReadsKeeping(y, fact.right, fact.on)) ||
+               (ReadsKeeping(x, fact.right, fact.on) &&
+                ReadsKeeping(y, fact.left, fact.on));
+      });
+}
+
+void UnionArms(const ExprRef& expr, std::vector<ExprRef>* arms) {
+  if (expr->kind() == Expr::Kind::kUnion) {
+    UnionArms(expr->left(), arms);
+    UnionArms(expr->right(), arms);
+  } else {
+    arms->push_back(expr);
+  }
+}
+
+// X − (Y1 ∪ … ∪ Yn) loses every Yk that the spec's disjointness facts
+// prove disjoint from each arm of X, and becomes X when none is left.
+// Bottom-up over `expr`; only a well-typed difference is rewritten, so an
+// ill-typed query still fails in the evaluator. Translated queries only:
+// Simplify, and with it every maintenance plan, never sees the facts.
+ExprRef DropDisjointArms(const ExprRef& expr, const WarehouseSpec& spec,
+                         const SchemaResolver& resolver) {
+  if (expr->kind() == Expr::Kind::kEmpty || expr->kind() == Expr::Kind::kBase) {
+    return expr;
+  }
+  ExprRef left = DropDisjointArms(expr->left(), spec, resolver);
+  ExprRef right = expr->right() == nullptr
+                      ? nullptr
+                      : DropDisjointArms(expr->right(), spec, resolver);
+  ExprRef rebuilt = WithChildren(expr, left, right);
+  if (expr->kind() != Expr::Kind::kDifference) {
+    return rebuilt;
+  }
+  std::vector<ExprRef> xs;
+  std::vector<ExprRef> ys;
+  UnionArms(left, &xs);
+  UnionArms(right, &ys);
+  std::vector<ExprRef> kept;
+  for (const ExprRef& y : ys) {
+    if (!std::all_of(xs.begin(), xs.end(), [&](const ExprRef& x) {
+          return ProvablyDisjoint(x, y, spec);
+        })) {
+      kept.push_back(y);
+    }
+  }
+  if (kept.size() == ys.size() || !InferSchema(*rebuilt, resolver).ok()) {
+    return rebuilt;
+  }
+  return kept.empty() ? left : Expr::Difference(left, Expr::UnionAll(kept));
+}
+
 }  // namespace
 
 Result<ExprRef> TranslateQueryRaw(const ExprRef& query,
@@ -263,6 +352,9 @@ ExprRef PlanTranslation(const ExprRef& query, const WarehouseSpec& spec,
   // inside the (often large) inverse reconstructions.
   translated = PushDownSelections(translated, resolver);
   translated = Simplify(translated, &resolver);
+  if (!spec.disjoint_facts().empty()) {
+    translated = DropDisjointArms(translated, spec, resolver);
+  }
   // Canonicalize through the spec's interner: repeated translations of the
   // same (or structurally overlapping) queries share nodes with each other
   // and with the maintenance machinery, which is what lets the warehouse's

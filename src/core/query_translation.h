@@ -13,6 +13,8 @@ namespace dwc {
 // ⋈ Rk) answers (B and p's attributes within A, p implies q) becomes
 // [π_B] σ_p(V); then every remaining base-relation reference is replaced by
 // its inverse expression (Section 3, Steps 3-4) and the result simplified.
+// Last, a difference loses every right arm that the spec's disjointness
+// facts (WarehouseSpec::disjoint_facts) prove disjoint from its left.
 //
 // Fails if Q references a relation that is neither a base relation with an
 // inverse nor a warehouse relation.
@@ -25,10 +27,11 @@ Result<ExprRef> TranslateQueryRaw(const ExprRef& query,
 
 // The plan half of TranslateQuery, for a query whose names the caller has
 // already checked: matches stored views, substitutes W^-1, simplifies,
-// pushes selections toward the leaves, simplifies again and interns the
-// plan in the spec's interner. `resolver` gives the schema of every name
-// the plan may read. Warehouse::AnswerQueryAt goes through it too, so both
-// paths evaluate the same plan.
+// pushes selections toward the leaves, simplifies again, drops provably
+// disjoint difference arms and interns the plan in the spec's interner.
+// `resolver` gives the schema of every name the plan may read.
+// Warehouse::AnswerQueryAt goes through it too, so both paths evaluate the
+// same plan.
 ExprRef PlanTranslation(const ExprRef& query, const WarehouseSpec& spec,
                         const SchemaResolver& resolver);
 

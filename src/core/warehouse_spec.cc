@@ -1,8 +1,70 @@
 #include "core/warehouse_spec.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace dwc {
+
+namespace {
+
+// The dangling rule over the stored complements (see
+// WarehouseSpec::disjoint_facts).
+std::vector<DisjointFact> DeriveDisjointFacts(
+    const ComplementResult& complement, const Catalog& catalog) {
+  std::vector<DisjointFact> facts;
+  auto add = [&facts](std::string left, std::string right, const AttrSet& on) {
+    for (const DisjointFact& fact : facts) {
+      if (fact.left == left && fact.right == right && fact.on == on) {
+        return;
+      }
+    }
+    facts.push_back(DisjointFact{std::move(left), std::move(right), on});
+  };
+  auto stored = [&complement](const std::string& base) {
+    const BaseComplementInfo* info = complement.FindBase(base);
+    return info != nullptr && !info->provably_empty ? info : nullptr;
+  };
+  for (const PsjView& view : complement.views) {
+    if (view.bases.size() != 2 ||
+        view.predicate->kind() != Predicate::Kind::kTrue) {
+      continue;
+    }
+    for (size_t side = 0; side < 2; ++side) {
+      const std::string& r = view.bases[side];
+      const std::string& s = view.bases[1 - side];
+      const AttrSet r_attrs = catalog.FindSchema(r)->attr_names();
+      const BaseComplementInfo* c_r = stored(r);
+      if (c_r == nullptr ||
+          !std::includes(view.attrs.begin(), view.attrs.end(),
+                         r_attrs.begin(), r_attrs.end())) {
+        continue;
+      }
+      AttrSet on;
+      for (const std::string& attr : r_attrs) {
+        if (catalog.FindSchema(s)->Contains(attr)) {
+          on.insert(attr);
+        }
+      }
+      if (on.empty()) {
+        continue;
+      }
+      if (const BaseComplementInfo* c_s = stored(s)) {
+        add(c_r->complement_name, c_s->complement_name, on);
+      }
+      for (const PsjView& other : complement.views) {
+        if (other.InvolvesBase(s) &&
+            std::includes(other.attrs.begin(), other.attrs.end(), on.begin(),
+                          on.end())) {
+          add(c_r->complement_name, other.name, on);
+        }
+      }
+    }
+  }
+  return facts;
+}
+
+}  // namespace
 
 WarehouseSpec::WarehouseSpec(std::shared_ptr<const Catalog> catalog,
                              std::vector<ViewDef> views,
@@ -12,6 +74,7 @@ WarehouseSpec::WarehouseSpec(std::shared_ptr<const Catalog> catalog,
       views_(std::move(views)),
       complement_(std::move(complement)),
       warehouse_schemas_(std::move(warehouse_schemas)),
+      disjoint_facts_(DeriveDisjointFacts(complement_, *catalog_)),
       interner_(std::make_shared<ExprInterner>()) {
   // Cross-expression CSE: intern every definition the spec carries so that
   // structurally equal subtrees — which the paper's constructions repeat

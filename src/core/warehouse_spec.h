@@ -15,6 +15,15 @@
 
 namespace dwc {
 
+// π_on(left) ∩ π_on(right) = ∅ in every warehouse state W(d). `left` is a
+// stored complement C_R; `right` is C_S or a view over S (see
+// WarehouseSpec::disjoint_facts).
+struct DisjointFact {
+  std::string left;
+  std::string right;
+  AttrSet on;
+};
+
 // The output of Step 1 of the Section 5 algorithm: a warehouse definition
 // W = V ∪ C together with the inverse mapping W^-1 and the schemas of all
 // warehouse relations. Query translation (Section 3) and maintenance-plan
@@ -33,6 +42,15 @@ class WarehouseSpec {
   // The same views in PSJ normal form (bases, visible attributes,
   // conjoined selection), analysed once when the spec was built.
   const std::vector<PsjView>& psj_views() const { return complement_.views; }
+  // Disjointness facts the stored complements guarantee, derived once by
+  // the dangling rule. For each view V = R ⋈ S with no selection that keeps
+  // all of attr(R), with C_R stored and J = attr(R) ∩ attr(S) non-empty:
+  // C_R ⊆ R − π_R(V) holds only R tuples with no S partner on J, so
+  // π_J(C_R) misses π_J(S), and with it π_J(C_S) (C_S ⊆ S) and π_J(N) for
+  // every view N over S that keeps J (N's J columns are S's).
+  const std::vector<DisjointFact>& disjoint_facts() const {
+    return disjoint_facts_;
+  }
   // The computed complement C (provably empty members omitted).
   const std::vector<ViewDef>& complements() const {
     return complement_.complements;
@@ -72,6 +90,7 @@ class WarehouseSpec {
   std::vector<ViewDef> views_;
   ComplementResult complement_;
   std::map<std::string, Schema> warehouse_schemas_;
+  std::vector<DisjointFact> disjoint_facts_;
   std::shared_ptr<ExprInterner> interner_;
 };
 

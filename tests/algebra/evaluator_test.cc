@@ -164,6 +164,47 @@ TEST_F(EvaluatorTest, ComposedExpression) {
   EXPECT_TRUE(out.Contains(T({I(1), S("x")})));
 }
 
+// Materialize moves out only a result the evaluator built and holds alone.
+// A bound relation and a result the subplan cache holds are copied, so they
+// keep their content.
+TEST_F(EvaluatorTest, MaterializeCopiesABoundRelation) {
+  const Relation before = r_;
+  Evaluator evaluator(&env_);
+  for (int call = 0; call < 2; ++call) {
+    Result<Relation> out = evaluator.Materialize(*Expr::Base("R"));
+    DWC_ASSERT_OK(out);
+    EXPECT_TRUE(out->SameContentAs(before));
+  }
+  EXPECT_EQ(r_.size(), 3u);
+  EXPECT_TRUE(r_.SameContentAs(before));
+}
+
+TEST_F(EvaluatorTest, MaterializeCopiesACachedResult) {
+  ExprInterner interner;
+  SubplanCache cache;
+  cache.set_budget(1 << 10);
+  EvaluatorOptions options;
+  options.cache_budget_tuples = 1 << 10;
+  Evaluator evaluator(&env_, options, &interner, &cache);
+  Result<ExprRef> parsed =
+      ParseExpr("select[a <= 1](R) union select[a >= 3](R)");
+  DWC_ASSERT_OK(parsed);
+  const ExprRef expr = interner.Intern(*parsed);
+  Result<Relation> first = evaluator.Materialize(*expr);
+  DWC_ASSERT_OK(first);
+  EXPECT_EQ(first->size(), 2u);
+  EXPECT_EQ(evaluator.stats().cache_hits, 0u);
+  Result<Relation> second = evaluator.Materialize(*expr);
+  DWC_ASSERT_OK(second);
+  EXPECT_EQ(evaluator.stats().cache_hits, 1u);
+  EXPECT_TRUE(second->SameContentAs(*first));
+  // The second answer was copied out of the entry, which still answers.
+  Result<Relation> third = evaluator.Materialize(*expr);
+  DWC_ASSERT_OK(third);
+  EXPECT_EQ(evaluator.stats().cache_hits, 2u);
+  EXPECT_TRUE(third->SameContentAs(*first));
+}
+
 // Projection is one fused project-and-deduplicate pass: it charges the
 // token's budget for each distinct output tuple, not for each row read,
 // and checks the token every kCancelCheckTuples rows.

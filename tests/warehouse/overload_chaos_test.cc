@@ -183,9 +183,17 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {
     return token;
   }
 
+  // One reader: it arrives at the start barrier and waits there for the
+  // writer, so every lap it counts begins after the writer has started.
   void ReaderLoop(uint64_t reader_seed, std::atomic<uint64_t>* verified,
                   std::atomic<uint64_t>* governed_failures) {
     Rng rng(reader_seed);
+    {
+      std::unique_lock<std::mutex> lock(start_mu_);
+      ++readers_ready_;
+      start_cv_.notify_all();
+      start_cv_.wait(lock, [this] { return writer_started_; });
+    }
     // The reader's stale fallback: a snapshot pinned on an earlier lap,
     // served when the ladder only admits stale reads.
     SnapshotHandle stale;
@@ -316,7 +324,25 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {
                    &governed_failures);
       });
     }
+    // The start barrier: the writer starts once every reader is waiting
+    // for it, and releases them as it starts.
+    {
+      std::unique_lock<std::mutex> lock(start_mu_);
+      start_cv_.wait(lock, [this] { return readers_ready_ == kReaderThreads; });
+      writer_started_ = true;
+    }
+    start_cv_.notify_all();
     WriterLoop();
+    // A writer that finished before any reader got a lap in would leave
+    // the counters at 0: the storm stays open (for at most a minute, so a
+    // broken reader fails the assertions below instead of hanging) until
+    // the readers have had both a verified read and a governed failure.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while ((verified.load() == 0 || governed_failures.load() == 0) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     done_.store(true, std::memory_order_release);
     for (std::thread& reader : readers) {
       reader.join();
@@ -324,7 +350,8 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {
 
     // The storm exercised both sides of the governor: verified answers and
     // governed refusals (the pre-expired / pre-cancelled tokens guarantee
-    // the latter on every seed).
+    // the latter on every seed). Every read the counters and the governor
+    // saw began after the writer started.
     EXPECT_GT(verified.load(), 0u);
     EXPECT_GT(governed_failures.load(), 0u);
 
@@ -362,6 +389,13 @@ class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {
   std::condition_variable oracle_cv_;
   std::map<uint64_t, EpochOracle> oracle_;
   std::atomic<bool> done_{false};
+
+  // The start barrier: readers waiting for the writer, and whether it has
+  // started.
+  std::mutex start_mu_;
+  std::condition_variable start_cv_;
+  int readers_ready_ = 0;
+  bool writer_started_ = false;
 };
 
 TEST_P(OverloadChaosTest, AdversarialStormWithFlappingSource) {
