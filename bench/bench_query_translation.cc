@@ -11,7 +11,8 @@
 // evaluation is within a small constant of source evaluation — the price of
 // reconstructing base relations through inverses. With referential
 // integrity, inverses collapse (Example 2.4) and the gap narrows. A query
-// that is a view's definition (Q4) reads the view and skips the inverses.
+// that is a view's definition (Q4) reads the view and skips the inverses;
+// its answer shares the view's tuples, so it costs no copy.
 // Q3, Emp's clerks without a sale, plans to π[clerk](C_Emp): the stored
 // complement's disjointness facts drop both subtracted arms (DESIGN §9),
 // so the warehouse reads C_Emp where the source subtracts all of Sale.

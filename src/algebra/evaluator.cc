@@ -14,10 +14,8 @@ std::shared_ptr<const Relation> Alias(const Relation* rel) {
   return std::shared_ptr<const Relation>(rel, [](const Relation*) {});
 }
 
-// The relation is built non-const, so that Materialize may move out of a
-// result nobody else holds.
 std::shared_ptr<const Relation> Own(Relation rel) {
-  return std::make_shared<Relation>(std::move(rel));
+  return std::make_shared<const Relation>(std::move(rel));
 }
 
 // Output attribute names of `expr` without evaluating it; nullopt if a name
@@ -95,7 +93,8 @@ Tuple ConcatMatch(const Tuple& pt, const Tuple& bt, bool build_right,
   return Tuple(std::move(values));
 }
 
-// Inserts `right`'s tuples into a copy of `left` (set union).
+// Inserts `right`'s tuples into a copy of `left` (set union). The copy
+// shares `left`'s tuples, and clones them only when `right` is nonempty.
 Result<Relation> UnionInto(const Relation& left, const Relation& right) {
   if (!left.schema().SameAttrsAs(right.schema())) {
     return Status::InvalidArgument(
@@ -382,15 +381,10 @@ Result<std::shared_ptr<const Relation>> Evaluator::Eval(const Expr& expr) {
 }
 
 Result<Relation> Evaluator::Materialize(const Expr& expr) {
-  DWC_ASSIGN_OR_RETURN(EvalOut out, EvalInternal(expr));
-  // A result this evaluator built and holds alone (Own) is moved out. An
-  // environment alias is stable (its no-op deleter leaves use_count at 1),
-  // and so is a cache hit; a result the cache stored has a use_count of at
-  // least 2. Those are copied.
-  if (!out.stable && out.rel.use_count() == 1) {
-    return std::move(const_cast<Relation&>(*out.rel));
-  }
-  return Relation(*out.rel);
+  DWC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rel, Eval(expr));
+  // A copy shares the tuples in O(1), whether the result is a binding, a
+  // cache entry or this evaluator's own.
+  return Relation(*rel);
 }
 
 size_t Evaluator::EstimateSize(const Expr& expr) const {

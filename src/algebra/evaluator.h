@@ -113,9 +113,9 @@ class Evaluator {
   // The result is invalidated by mutating the aliased relation.
   Result<std::shared_ptr<const Relation>> Eval(const Expr& expr);
 
-  // Returns the result as an owned relation: moved out when the evaluator
-  // built it and holds it alone, copied otherwise (a bound relation, or a
-  // result the subplan cache holds).
+  // Returns the result as an owned relation. It shares its tuples with the
+  // result (a bound relation, a cached result, or the evaluator's own), so
+  // this costs O(1); a mutation of it clones them first.
   Result<Relation> Materialize(const Expr& expr);
 
   // Counters accumulated across all evaluations by this evaluator.

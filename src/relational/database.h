@@ -19,9 +19,10 @@ namespace dwc {
 //
 // Relations are held through shared_ptr slots so a snapshot layer (see
 // warehouse/epoch.h) can keep an old relation version alive after the
-// database replaces or drops the slot. The Database itself still has deep
-// value semantics: copying a Database copies every relation (fresh uids),
-// never aliases storage with the original.
+// database replaces or drops the slot. The Database itself still has value
+// semantics: copying a Database copies every relation (fresh uids) and never
+// aliases a relation object with the original. The copies share tuples with
+// the originals in O(1) until either side mutates (relation.h).
 class Database {
  public:
   Database() : catalog_(std::make_shared<Catalog>()) {}

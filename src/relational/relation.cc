@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -17,9 +18,33 @@ void Relation::AddToIndex(IndexEntry* entry, const Tuple* tuple) {
   bucket->second.push_back(tuple);
 }
 
+Relation::Body* Relation::AcquireEmpty() {
+  static Body* const empty = new Body;
+  return Share(empty);
+}
+
+void Relation::Unshare() {
+  Body* fresh = new Body;
+  fresh->tuples = body_->tuples;
+  Release(std::exchange(body_, fresh));
+  indexes_.clear();
+}
+
+Relation Relation::DeepCopy() const {
+  Relation copy(schema_);
+  copy.body_->tuples = body_->tuples;
+  return copy;
+}
+
 bool Relation::Insert(Tuple tuple) {
   assert(tuple.size() == schema_.size());
-  auto [it, inserted] = tuples_.insert(std::move(tuple));
+  if (Shared()) {
+    if (Contains(tuple)) {
+      return false;
+    }
+    Unshare();
+  }
+  auto [it, inserted] = body_->tuples.insert(std::move(tuple));
   if (inserted) {
     ++version_;
     for (auto& [name, entry] : indexes_) {
@@ -31,8 +56,17 @@ bool Relation::Insert(Tuple tuple) {
 }
 
 bool Relation::Erase(const Tuple& tuple) {
-  auto it = tuples_.find(tuple);
-  if (it == tuples_.end()) {
+  if (Shared()) {
+    if (!Contains(tuple)) {
+      return false;
+    }
+    // `tuple` may live in the body Unshare lets go of.
+    Tuple key = tuple;
+    Unshare();
+    return Erase(key);
+  }
+  auto it = body_->tuples.find(tuple);
+  if (it == body_->tuples.end()) {
     return false;
   }
   const Tuple* stored = &*it;
@@ -49,17 +83,31 @@ bool Relation::Erase(const Tuple& tuple) {
       }
     }
   }
-  tuples_.erase(it);
+  body_->tuples.erase(it);
   ++version_;
   return true;
 }
 
 void Relation::Clear() {
-  if (!tuples_.empty()) {
+  if (!empty()) {
     ++version_;
   }
-  tuples_.clear();
+  if (Shared()) {
+    Release(std::exchange(body_, AcquireEmpty()));
+  } else {
+    body_->tuples.clear();
+  }
   indexes_.clear();
+}
+
+void Relation::Reserve(size_t n) {
+  if (n == 0) {
+    return;
+  }
+  if (Shared()) {
+    Unshare();
+  }
+  body_->tuples.reserve(body_->tuples.size() + n);
 }
 
 const Relation::Index& Relation::GetIndex(
@@ -78,7 +126,7 @@ const Relation::Index& Relation::GetIndex(
   Result<std::vector<size_t>> indices = schema_.IndicesOf(attrs);
   assert(indices.ok() && "GetIndex attributes must belong to the schema");
   entry.indices = std::move(indices).value();
-  for (const Tuple& tuple : tuples_) {
+  for (const Tuple& tuple : body_->tuples) {
     AddToIndex(&entry, &tuple);
   }
   auto [pos, inserted] = indexes_.emplace(std::move(key), std::move(entry));
@@ -87,7 +135,7 @@ const Relation::Index& Relation::GetIndex(
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {
-  std::vector<Tuple> sorted(tuples_.begin(), tuples_.end());
+  std::vector<Tuple> sorted(tuples().begin(), tuples().end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
@@ -100,7 +148,7 @@ bool Relation::SameContentAs(const Relation& other) const {
     return false;
   }
   if (schema_ == other.schema()) {
-    for (const Tuple& tuple : tuples_) {
+    for (const Tuple& tuple : tuples()) {
       if (!other.Contains(tuple)) {
         return false;
       }
@@ -111,7 +159,7 @@ bool Relation::SameContentAs(const Relation& other) const {
   if (!aligned.ok()) {
     return false;
   }
-  for (const Tuple& tuple : tuples_) {
+  for (const Tuple& tuple : tuples()) {
     if (!aligned->Contains(tuple)) {
       return false;
     }
@@ -131,8 +179,8 @@ Result<Relation> Relation::AlignTo(const Schema& target) const {
   }
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> indices, schema_.IndicesOf(names));
   Relation aligned(target);
-  aligned.Reserve(tuples_.size());
-  for (const Tuple& tuple : tuples_) {
+  aligned.Reserve(size());
+  for (const Tuple& tuple : tuples()) {
     aligned.Insert(tuple.Project(indices));
   }
   return aligned;

@@ -164,9 +164,9 @@ TEST_F(EvaluatorTest, ComposedExpression) {
   EXPECT_TRUE(out.Contains(T({I(1), S("x")})));
 }
 
-// Materialize moves out only a result the evaluator built and holds alone.
-// A bound relation and a result the subplan cache holds are copied, so they
-// keep their content.
+// Materialize's answer shares its tuples with a bound relation or a result
+// the subplan cache holds; mutating the answer clones them, so the binding
+// and the cache entry keep their content.
 TEST_F(EvaluatorTest, MaterializeCopiesABoundRelation) {
   const Relation before = r_;
   Evaluator evaluator(&env_);
@@ -174,9 +174,16 @@ TEST_F(EvaluatorTest, MaterializeCopiesABoundRelation) {
     Result<Relation> out = evaluator.Materialize(*Expr::Base("R"));
     DWC_ASSERT_OK(out);
     EXPECT_TRUE(out->SameContentAs(before));
+    // The answer shares the binding's tuples until it is mutated.
+    EXPECT_EQ(&out->tuples(), &r_.tuples());
+    EXPECT_TRUE(out->Insert(T({I(4), I(40)})));
+    EXPECT_TRUE(out->Erase(T({I(1), I(10)})));
+    EXPECT_EQ(out->size(), 3u);
   }
   EXPECT_EQ(r_.size(), 3u);
   EXPECT_TRUE(r_.SameContentAs(before));
+  EXPECT_TRUE(r_.Contains(T({I(1), I(10)})));
+  EXPECT_FALSE(r_.Contains(T({I(4), I(40)})));
 }
 
 TEST_F(EvaluatorTest, MaterializeCopiesACachedResult) {
@@ -198,7 +205,9 @@ TEST_F(EvaluatorTest, MaterializeCopiesACachedResult) {
   DWC_ASSERT_OK(second);
   EXPECT_EQ(evaluator.stats().cache_hits, 1u);
   EXPECT_TRUE(second->SameContentAs(*first));
-  // The second answer was copied out of the entry, which still answers.
+  // The second answer shares the entry's tuples; mutating it leaves the
+  // entry, which still answers, unchanged.
+  EXPECT_TRUE(second->Insert(T({I(2), I(20)})));
   Result<Relation> third = evaluator.Materialize(*expr);
   DWC_ASSERT_OK(third);
   EXPECT_EQ(evaluator.stats().cache_hits, 2u);

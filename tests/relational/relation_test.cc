@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "testing/test_util.h"
 
 namespace dwc {
@@ -67,6 +69,109 @@ TEST(RelationTest, CopyDropsIndexesButKeepsContent) {
   // The copy builds its own index lazily and stays correct.
   const Relation::Index& index = copy.GetIndex({"a"});
   EXPECT_EQ(index.at(T({I(1)})).size(), 1u);
+}
+
+TEST(RelationTest, CopiesShareTuplesUntilEitherSideMutates) {
+  Relation original(AbSchema());
+  original.Insert(T({I(1), S("x")}));
+  original.Insert(T({I(2), S("y")}));
+
+  // A mutated copy leaves the original unchanged.
+  Relation copy = original;
+  EXPECT_EQ(&copy.tuples(), &original.tuples());  // Shared, not copied.
+  EXPECT_TRUE(copy.Insert(T({I(3), S("z")})));
+  EXPECT_NE(&copy.tuples(), &original.tuples());
+  EXPECT_TRUE(copy.Erase(T({I(1), S("x")})));
+  EXPECT_EQ(original.size(), 2u);
+  EXPECT_TRUE(original.Contains(T({I(1), S("x")})));
+  EXPECT_FALSE(original.Contains(T({I(3), S("z")})));
+  EXPECT_EQ(copy.size(), 2u);
+
+  // A mutated original leaves the copy unchanged.
+  Relation assigned(AbSchema());
+  assigned = original;
+  EXPECT_EQ(&assigned.tuples(), &original.tuples());
+  EXPECT_TRUE(original.Erase(*original.tuples().begin()));
+  original.Clear();
+  EXPECT_TRUE(original.empty());
+  EXPECT_EQ(assigned.size(), 2u);
+  EXPECT_TRUE(assigned.Contains(T({I(1), S("x")})));
+  EXPECT_TRUE(assigned.Contains(T({I(2), S("y")})));
+
+  // Mutations that change nothing leave the tuples shared.
+  Relation again = assigned;
+  EXPECT_FALSE(again.Insert(T({I(1), S("x")})));
+  EXPECT_FALSE(again.Erase(T({I(9), S("q")})));
+  EXPECT_EQ(&again.tuples(), &assigned.tuples());
+}
+
+TEST(RelationTest, IndexedRelationProbesCorrectlyAfterCopyAndMutation) {
+  Relation rel(AbSchema());
+  rel.Insert(T({I(1), S("x")}));
+  rel.Insert(T({I(2), S("x")}));
+  EXPECT_EQ(rel.GetIndex({"a"}).at(T({I(1)})).size(), 1u);
+  Relation copy = rel;
+  EXPECT_EQ(copy.GetIndex({"b"}).at(T({S("x")})).size(), 2u);
+
+  // Both sides mutate while shared; each rebuilds its indexes over its own
+  // tuples.
+  rel.Insert(T({I(1), S("y")}));
+  rel.Erase(T({I(2), S("x")}));
+  const Relation::Index& by_a = rel.GetIndex({"a"});
+  EXPECT_EQ(by_a.at(T({I(1)})).size(), 2u);
+  EXPECT_EQ(by_a.find(T({I(2)})), by_a.end());
+  for (const Tuple* tuple : by_a.at(T({I(1)}))) {
+    EXPECT_TRUE(rel.Contains(*tuple));
+  }
+  copy.Insert(T({I(3), S("x")}));
+  EXPECT_EQ(copy.GetIndex({"b"}).at(T({S("x")})).size(), 3u);
+  EXPECT_EQ(copy.GetIndex({"a"}).at(T({I(2)})).size(), 1u);
+
+  // Once unshared, mutations maintain the rebuilt index in place.
+  rel.Insert(T({I(1), S("z")}));
+  EXPECT_EQ(by_a.at(T({I(1)})).size(), 3u);
+}
+
+TEST(RelationTest, MovedFromRelationIsEmptyAndReusable) {
+  Relation source(AbSchema());
+  source.Insert(T({I(1), S("x")}));
+  source.GetIndex({"a"});
+  Relation moved = std::move(source);
+  EXPECT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved.GetIndex({"a"}).size(), 1u);
+  // NOLINTBEGIN(bugprone-use-after-move)
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.size(), 0u);
+  source = Relation(AbSchema());
+  EXPECT_TRUE(source.Insert(T({I(2), S("y")})));
+  EXPECT_EQ(source.GetIndex({"a"}).at(T({I(2)})).size(), 1u);
+  EXPECT_FALSE(moved.Contains(T({I(2), S("y")})));
+
+  Relation target(AbSchema());
+  target.Insert(T({I(7), S("t")}));
+  target = std::move(source);
+  EXPECT_TRUE(source.empty());
+  source = moved;
+  EXPECT_TRUE(source.SameContentAs(moved));
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(target.size(), 1u);
+  EXPECT_TRUE(target.Contains(T({I(2), S("y")})));
+
+  Relation fresh;
+  EXPECT_TRUE(fresh.empty());
+  fresh = target;
+  EXPECT_TRUE(fresh.SameContentAs(target));
+}
+
+TEST(RelationTest, DeepCopyOwnsItsTuples) {
+  Relation rel(AbSchema());
+  rel.Insert(T({I(1), S("x")}));
+  Relation deep = rel.DeepCopy();
+  EXPECT_NE(&deep.tuples(), &rel.tuples());
+  EXPECT_NE(deep.uid(), rel.uid());
+  EXPECT_TRUE(deep.SameContentAs(rel));
+  deep.Insert(T({I(2), S("y")}));
+  EXPECT_EQ(rel.size(), 1u);
 }
 
 TEST(RelationTest, SameContentAsIgnoresColumnOrder) {
@@ -234,6 +339,20 @@ TEST(RelationTest, UidsAreFreshPerObjectAndStableAcrossMutations) {
   const uint64_t assigned_v0 = assigned.version();
   assigned = a;
   EXPECT_GT(assigned.version(), assigned_v0);
+
+  // Copies share tuples but not identities: mutating either side moves only
+  // that side's version, so a snapshot of the other still matches.
+  const uint64_t copy_version = copy.version();
+  const uint64_t a_shared_version = a.version();
+  copy.Insert(T({I(2), S("y")}));
+  EXPECT_GT(copy.version(), copy_version);
+  EXPECT_EQ(a.version(), a_shared_version);
+  Relation copy2 = a;
+  a.Erase(T({I(1), S("x")}));
+  EXPECT_GT(a.version(), a_shared_version);
+  EXPECT_EQ(copy2.version(), 0u);
+  EXPECT_EQ(a.uid(), a_uid);  // Cloning the tuples keeps the identity.
+  a.Insert(T({I(1), S("x")}));
 
   // Moving from a relation invalidates snapshots of the moved-from object.
   const uint64_t a_version = a.version();

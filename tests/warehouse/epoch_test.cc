@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/warehouse_spec.h"
@@ -352,6 +354,93 @@ TEST_F(EpochTest, StatsReadableWhileIntegrating) {
                 final_stats.cache_misses + final_stats.index_probes,
             0u)
       << "the last integration's evaluation stats look empty";
+}
+
+// An answer that is a stored view shares the view's tuples, and a reader
+// may keep it after unpinning. The writer then commits in place (no pins)
+// while the reader still reads the answer or drops it: the commit must
+// clone the shared tuples, or, when the drop came first, see the reader's
+// reads finished before it writes. Under TSan a relaxed sharing test fails
+// here.
+TEST_F(EpochTest, AnswersKeptAfterUnpinSurviveInPlaceCommits) {
+  constexpr uint64_t kRounds = 200;
+  Source source(context_.db);
+  Result<Warehouse> warehouse = Warehouse::Load(spec_, source.db());
+  DWC_ASSERT_OK(warehouse);
+  Result<ExprRef> query = ParseExpr("Sale join Emp");
+  DWC_ASSERT_OK(query);
+  // One Sale row per round for a clerk Emp already holds, so each commit
+  // changes Sold.
+  std::vector<CanonicalDelta> deltas;
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    UpdateOp op;
+    op.relation = "Sale";
+    const std::string item = "item" + std::to_string(round);
+    op.inserts = {T({S(item.c_str()), S(round % 2 == 0 ? "Mary" : "John")})};
+    Result<CanonicalDelta> delta = source.Apply(op);
+    DWC_ASSERT_OK(delta);
+    deltas.push_back(std::move(delta).value());
+  }
+
+  std::atomic<uint64_t> held{0};
+  std::atomic<uint64_t> committed{0};
+  std::atomic<uint64_t> shared_answers{0};
+  std::thread reader([&] {
+    std::vector<std::pair<Relation, uint64_t>> kept;
+    for (uint64_t round = 1; round <= kRounds; ++round) {
+      Relation answer;
+      {
+        SnapshotHandle snapshot = warehouse->PinSnapshot();
+        Result<Relation> result = warehouse->AnswerQueryAt(snapshot, *query);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (!result.ok()) {
+          break;
+        }
+        answer = std::move(result).value();
+        if (&answer.tuples() == &snapshot.Find("Sold")->tuples()) {
+          shared_answers.fetch_add(1, std::memory_order_relaxed);
+        }
+      }  // Unpinned: the next commit may go in place.
+      const uint64_t digest = RelationDigest(answer);
+      kept.emplace_back(std::move(answer), digest);
+      held.store(round, std::memory_order_release);
+      // Read every kept answer while the writer commits. Even rounds then
+      // let go of their tuples, this round's too, racing the commit's
+      // sharing test; odd rounds keep theirs into the next round. Clear
+      // releases the tuples alone: destroying the relation would also
+      // release its schema's shared lookup, which the writer acquires
+      // too, and that would order these reads before the commit even
+      // without the acquire load.
+      for (const auto& [relation, expected] : kept) {
+        EXPECT_EQ(RelationDigest(relation), expected);
+      }
+      if (round % 2 == 0) {
+        for (auto& [relation, expected] : kept) {
+          relation.Clear();
+        }
+      }
+      while (committed.load(std::memory_order_acquire) < round) {
+        std::this_thread::yield();
+      }
+      if (round % 2 == 0) {
+        kept.clear();
+      }
+    }
+    for (const auto& [relation, expected] : kept) {
+      EXPECT_EQ(RelationDigest(relation), expected);
+    }
+  });
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    while (held.load(std::memory_order_acquire) < round) {
+      std::this_thread::yield();
+    }
+    DWC_EXPECT_OK(warehouse->Integrate(deltas[round - 1]));
+    committed.store(round, std::memory_order_release);
+  }
+  reader.join();
+  EXPECT_EQ(shared_answers.load(), kRounds);
+  EXPECT_EQ(warehouse->epoch_stats().inplace_commits, kRounds);
+  DWC_EXPECT_OK(CheckConsistency(*warehouse, source.db()));
 }
 
 }  // namespace

@@ -119,6 +119,38 @@ TEST_F(WarehouseTest, NoOpDeltaKeepsStateIdentical) {
   EXPECT_TRUE(warehouse->state().SameStateAs(before));
 }
 
+// `Sale ⋈ Emp` is answered by the stored view Sold itself; the answer shares
+// Sold's tuples, and mutating it must leave the warehouse consistent.
+TEST_F(WarehouseTest, MutatingABareViewAnswerLeavesTheViewIntact) {
+  Source source(context_.db);
+  Result<Warehouse> warehouse = Warehouse::Load(spec_, source.db());
+  DWC_ASSERT_OK(warehouse);
+  Result<ExprRef> query = ParseExpr("Sale join Emp");
+  DWC_ASSERT_OK(query);
+  const Relation* sold = warehouse->FindRelation("Sold");
+  ASSERT_NE(sold, nullptr);
+  const Relation before = *sold;
+  Result<Relation> answer = warehouse->AnswerQuery(*query);
+  DWC_ASSERT_OK(answer);
+  EXPECT_EQ(&answer->tuples(), &sold->tuples());  // No copy.
+  EXPECT_TRUE(answer->Insert(T({S("Radio"), S("Paula"), I(32)})));
+  EXPECT_TRUE(answer->Erase(*answer->tuples().begin()));
+  answer->Clear();
+  EXPECT_TRUE(sold->SameContentAs(before));
+  DWC_EXPECT_OK(CheckConsistency(*warehouse, source.db()));
+
+  // A refresh after the answer is gone still lands where the sources are.
+  Result<Relation> kept = warehouse->AnswerQuery(*query);
+  DWC_ASSERT_OK(kept);
+  UpdateOp op{"Sale", {T({S("Radio"), S("Paula")})}, {}};
+  Result<CanonicalDelta> delta = source.Apply(op);
+  DWC_ASSERT_OK(delta);
+  DWC_ASSERT_OK(warehouse->Integrate(*delta));
+  DWC_EXPECT_OK(CheckConsistency(*warehouse, source.db()));
+  EXPECT_TRUE(kept->SameContentAs(before));
+  EXPECT_EQ(warehouse->FindRelation("Sold")->size(), before.size() + 1);
+}
+
 TEST_F(WarehouseTest, SourceApplyValidatesShape) {
   Source source(context_.db);
   UpdateOp bad_rel{"Nope", {T({I(1)})}, {}};
