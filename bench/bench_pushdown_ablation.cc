@@ -64,29 +64,6 @@ void BM_WithoutPushdown(benchmark::State& state) {
               static_cast<size_t>(state.range(1)));
 }
 
-// Threshold sweeps (the two knobs behind Evaluator::WorthPushdown). Each
-// sweep pins the other knob so only the swept threshold decides.
-//
-// pushdown_max_keys: the absolute "operand is tiny" escape hatch. The
-// selectivity factor is pinned huge so the ratio path never fires; a batch
-// above/below max_keys flips between probing and scanning.
-void BM_ThresholdMaxKeys(benchmark::State& state) {
-  EvaluatorOptions options;
-  options.pushdown_max_keys = static_cast<size_t>(state.range(0));
-  options.pushdown_selectivity_factor = 1 << 20;
-  RunAblation(state, options, /*batch=*/64, /*fact=*/8000);
-}
-
-// pushdown_selectivity_factor: the relative "operand is much smaller than
-// the scan it saves" test. max_keys is pinned to zero so only the ratio
-// path can trigger pushdown.
-void BM_ThresholdSelectivity(benchmark::State& state) {
-  EvaluatorOptions options;
-  options.pushdown_max_keys = 0;
-  options.pushdown_selectivity_factor = static_cast<size_t>(state.range(0));
-  RunAblation(state, options, /*batch=*/64, /*fact=*/8000);
-}
-
 void Args(benchmark::internal::Benchmark* bench) {
   for (int64_t fact : {1000, 8000, 32000}) {
     for (int64_t batch : {1, 64}) {
@@ -98,20 +75,6 @@ void Args(benchmark::internal::Benchmark* bench) {
 
 BENCHMARK(BM_WithPushdown)->Apply(Args);
 BENCHMARK(BM_WithoutPushdown)->Apply(Args);
-BENCHMARK(BM_ThresholdMaxKeys)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ThresholdSelectivity)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

@@ -18,6 +18,15 @@ std::shared_ptr<const Relation> Own(Relation rel) {
   return std::make_shared<const Relation>(std::move(rel));
 }
 
+std::vector<std::string> AttrNames(const Schema& schema) {
+  std::vector<std::string> names;
+  names.reserve(schema.size());
+  for (const Attribute& attr : schema.attributes()) {
+    names.push_back(attr.name);
+  }
+  return names;
+}
+
 // Output attribute names of `expr` without evaluating it; nullopt if a name
 // does not resolve (the caller falls back to plain evaluation, which
 // reports the error properly).
@@ -29,20 +38,10 @@ std::optional<std::vector<std::string>> OutputNames(const Expr& expr,
       if (rel == nullptr) {
         return std::nullopt;
       }
-      std::vector<std::string> names;
-      names.reserve(rel->schema().size());
-      for (const Attribute& attr : rel->schema().attributes()) {
-        names.push_back(attr.name);
-      }
-      return names;
+      return AttrNames(rel->schema());
     }
-    case Expr::Kind::kEmpty: {
-      std::vector<std::string> names;
-      for (const Attribute& attr : expr.empty_schema().attributes()) {
-        names.push_back(attr.name);
-      }
-      return names;
-    }
+    case Expr::Kind::kEmpty:
+      return AttrNames(expr.empty_schema());
     case Expr::Kind::kSelect:
       return OutputNames(*expr.child(), env);
     case Expr::Kind::kProject:
@@ -204,6 +203,20 @@ class RowMeter {
   size_t charged_;
 };
 
+// Pushdown thresholds, calibrated by B7's sweeps (EXPERIMENTS.md): a
+// 64-key batch against 8 000 rows takes ~130 µs when either threshold
+// admits pushdown and ~900 µs when neither does.
+constexpr size_t kPushdownMaxKeys = 8;
+constexpr size_t kPushdownSelectivityFactor = 8;
+
+// True when an already-evaluated operand of `actual` tuples is small
+// enough relative to the other operand's `estimate` that index probing
+// beats a scan.
+bool WorthPushdown(size_t actual, size_t estimate) {
+  return actual <= kPushdownMaxKeys ||
+         actual * kPushdownSelectivityFactor < estimate;
+}
+
 }  // namespace
 
 void EvalStats::MergeFrom(const EvalStats& other) {
@@ -227,18 +240,13 @@ std::string EvalStats::ToString() const {
                 source_reads);
 }
 
-bool Evaluator::WorthPushdown(size_t actual, size_t estimate) const {
-  return actual <= options_.pushdown_max_keys ||
-         actual * options_.pushdown_selectivity_factor < estimate;
-}
-
-// Hash-joins two materialized relations (natural join), building on
-// `right` when it is a stable environment binding: its cached index then
-// serves every later refresh, which is what makes delta maintenance
-// O(|delta|).
+// Hash-joins two materialized relations (natural join), building the index
+// on `side`: the caller names a stable environment binding when there is
+// one, since its cached index then serves every later refresh, which is
+// what makes delta maintenance O(|delta|). The output is in
+// left-then-right-extra column order whichever side is built.
 Result<Relation> Evaluator::HashJoin(const Relation& left,
-                                     const Relation& right,
-                                     bool prefer_build_right) {
+                                     const Relation& right, BuildSide side) {
   const Schema& ls = left.schema();
   const Schema& rs = right.schema();
   std::vector<std::string> join_attrs = ls.CommonWith(rs);
@@ -287,8 +295,9 @@ Result<Relation> Evaluator::HashJoin(const Relation& left,
     return out;
   }
 
-  bool build_right =
-      prefer_build_right ? true : right.size() >= left.size();
+  const bool build_right =
+      side == BuildSide::kRight ||
+      (side == BuildSide::kLarger && right.size() >= left.size());
   const Relation& build = build_right ? right : left;
   const Relation& probe = build_right ? left : right;
   DWC_ASSIGN_OR_RETURN(std::vector<size_t> probe_key,
@@ -323,6 +332,33 @@ Status Evaluator::FilterInto(const Relation& in, const Predicate& predicate,
     }
   }
   return meter.Finish();
+}
+
+// Probes `rel`'s cached index on `filter.attrs` with every key, keeping
+// the matches that satisfy `predicate` (all of them when it is null).
+Result<Relation> Evaluator::ProbeBase(const Relation& rel,
+                                      const KeyFilter& filter,
+                                      const Predicate* predicate) {
+  const Relation::Index& index = rel.GetIndex(filter.attrs);
+  stats_.index_probes += filter.keys->size();
+  Relation out(rel.schema());
+  for (const Tuple& key : *filter.keys) {
+    auto bucket = index.find(key);
+    if (bucket == index.end()) {
+      continue;
+    }
+    for (const Tuple* tuple : bucket->second) {
+      if (predicate != nullptr) {
+        DWC_ASSIGN_OR_RETURN(bool keep, predicate->Eval(rel.schema(), *tuple));
+        if (!keep) {
+          continue;
+        }
+      }
+      out.Insert(*tuple);
+    }
+  }
+  DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
+  return out;
 }
 
 // Projects `in` onto `indices` into `out` (whose schema already matches) in
@@ -415,19 +451,21 @@ size_t Evaluator::EstimateSize(const Expr& expr) const {
   return 0;
 }
 
-Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
-  // Fast path: no cache wired (or disabled by budget 0) — exactly the
-  // pre-cache pipeline.
-  if (cache_ == nullptr || interner_ == nullptr) {
-    return EvalNode(expr);
+Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr,
+                                                   const KeyFilter* filter) {
+  // A filtered result is a subset, not the subplan's value, so it is never
+  // looked up or stored. With no cache wired (or disabled by budget 0) this
+  // is exactly the pre-cache pipeline.
+  if (filter != nullptr || cache_ == nullptr || interner_ == nullptr) {
+    return EvalNode(expr, filter);
   }
   // Leaves alias bindings or build empties; memoizing them only copies.
   if (expr.kind() == Expr::Kind::kBase || expr.kind() == Expr::Kind::kEmpty) {
-    return EvalNode(expr);
+    return EvalNode(expr, nullptr);
   }
   std::optional<ExprInterner::Interned> interned = interner_->Find(&expr);
   if (!interned.has_value()) {
-    return EvalNode(expr);  // Not an interned node: nothing to key on.
+    return EvalNode(expr, nullptr);  // Not an interned node: nothing to key on.
   }
   const uint64_t id = interned->id;
   const uint64_t cid = interned->cid;
@@ -440,7 +478,7 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
   for (const std::string& name : *inputs) {
     const Relation* rel = env_->Find(name);
     if (rel == nullptr) {
-      return EvalNode(expr);
+      return EvalNode(expr, nullptr);
     }
     snapshot.emplace_back(rel->uid(), rel->version());
   }
@@ -491,7 +529,7 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
   }
 
   ++stats_.cache_misses;
-  Result<EvalOut> out = EvalNode(expr);
+  Result<EvalOut> out = EvalNode(expr, nullptr);
   if (!out.ok()) {
     return out;
   }
@@ -502,7 +540,13 @@ Result<Evaluator::EvalOut> Evaluator::EvalInternal(const Expr& expr) {
   return out;
 }
 
-Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr) {
+// The one operator dispatch. With a `filter` (pushed down from a join or a
+// difference above) every operator returns exactly its tuples that match
+// the filter: σ, π and ∪ pass it to their children, ρ maps its names back
+// through the rename first, and a base relation probes its cached index
+// with every key instead of being scanned.
+Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr,
+                                               const KeyFilter* filter) {
   // Per-operator cancellation point: every node of the plan re-checks the
   // token before doing its work, and the row loops re-check it every
   // kCancelCheckTuples rows, bounding overrun past the deadline.
@@ -517,50 +561,49 @@ Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr) {
       if (env_->IsSourceBinding(expr.base_name())) {
         ++stats_.source_reads;
       }
-      return EvalOut{Alias(rel), /*stable=*/true};
+      if (filter == nullptr) {
+        return EvalOut{Alias(rel), /*stable=*/true};
+      }
+      DWC_ASSIGN_OR_RETURN(Relation out, ProbeBase(*rel, *filter, nullptr));
+      return EvalOut{Own(std::move(out)), false};
     }
     case Expr::Kind::kEmpty:
       return EvalOut{Own(Relation(expr.empty_schema())), false};
     case Expr::Kind::kSelect: {
-      // Index fast path: an equality-to-constant conjunct over a bound base
-      // relation probes the relation's hash index instead of scanning.
-      if (options_.enable_pushdown &&
-          expr.child()->kind() == Expr::Kind::kBase) {
-        const Relation* rel = env_->Find(expr.child()->base_name());
+      // Index fast path: the equality-to-constant conjuncts over a bound
+      // base relation make a one-key filter, and the probe tests the full
+      // predicate on each match.
+      const Expr& child_expr = *expr.child();
+      if (filter == nullptr && options_.enable_pushdown &&
+          child_expr.kind() == Expr::Kind::kBase) {
+        const Relation* rel = env_->Find(child_expr.base_name());
         if (rel != nullptr && !rel->empty()) {
-          std::vector<std::string> eq_attrs;
+          KeyFilter eq;
           std::vector<Value> eq_values;
-          CollectEqualityConjuncts(*expr.predicate(), rel->schema(),
-                                   &eq_attrs, &eq_values);
-          if (!eq_attrs.empty()) {
-            if (env_->IsSourceBinding(expr.child()->base_name())) {
+          CollectEqualityConjuncts(*expr.predicate(), rel->schema(), &eq.attrs,
+                                   &eq_values);
+          if (!eq.attrs.empty()) {
+            if (env_->IsSourceBinding(child_expr.base_name())) {
               ++stats_.source_reads;
             }
-            const Relation::Index& index = rel->GetIndex(eq_attrs);
-            ++stats_.index_probes;
-            Relation out(rel->schema());
-            auto bucket = index.find(Tuple(std::move(eq_values)));
-            if (bucket != index.end()) {
-              for (const Tuple* tuple : bucket->second) {
-                DWC_ASSIGN_OR_RETURN(
-                    bool keep, expr.predicate()->Eval(rel->schema(), *tuple));
-                if (keep) {
-                  out.Insert(*tuple);
-                }
-              }
-            }
-            DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
+            Relation::TupleSet keys;
+            keys.emplace(std::move(eq_values));
+            eq.keys = &keys;
+            DWC_ASSIGN_OR_RETURN(Relation out,
+                                 ProbeBase(*rel, eq, expr.predicate().get()));
             return EvalOut{Own(std::move(out)), false};
           }
         }
       }
-      DWC_ASSIGN_OR_RETURN(EvalOut child, EvalInternal(*expr.child()));
+      DWC_ASSIGN_OR_RETURN(EvalOut child, EvalInternal(child_expr, filter));
       Relation out(child.rel->schema());
       DWC_RETURN_IF_ERROR(FilterInto(*child.rel, *expr.predicate(), &out));
       return EvalOut{Own(std::move(out)), false};
     }
     case Expr::Kind::kProject: {
-      DWC_ASSIGN_OR_RETURN(EvalOut child, EvalInternal(*expr.child()));
+      // A filter's attributes are among the projected ones, so it passes
+      // straight through.
+      DWC_ASSIGN_OR_RETURN(EvalOut child, EvalInternal(*expr.child(), filter));
       const Schema& in = child.rel->schema();
       DWC_ASSIGN_OR_RETURN(std::vector<size_t> indices,
                            in.IndicesOf(expr.attrs()));
@@ -575,7 +618,24 @@ Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr) {
       return EvalOut{Own(std::move(out)), false};
     }
     case Expr::Kind::kRename: {
-      DWC_ASSIGN_OR_RETURN(EvalOut child, EvalInternal(*expr.child()));
+      // A filter names the renamed columns: map them back to the child's.
+      std::optional<KeyFilter> inner;
+      if (filter != nullptr) {
+        std::map<std::string, std::string> reverse;
+        for (const auto& [from, to] : expr.renames()) {
+          reverse[to] = from;
+        }
+        inner = *filter;
+        for (std::string& name : inner->attrs) {
+          auto it = reverse.find(name);
+          if (it != reverse.end()) {
+            name = it->second;
+          }
+        }
+      }
+      DWC_ASSIGN_OR_RETURN(
+          EvalOut child,
+          EvalInternal(*expr.child(), inner.has_value() ? &*inner : nullptr));
       const Schema& in = child.rel->schema();
       for (const auto& [from, to] : expr.renames()) {
         (void)to;
@@ -602,12 +662,12 @@ Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr) {
       return EvalOut{Own(std::move(out)), false};
     }
     case Expr::Kind::kJoin:
-      return EvalJoin(expr);
+      return EvalJoin(expr, filter);
     case Expr::Kind::kDifference:
-      return EvalDifference(expr);
+      return EvalDifference(expr, filter);
     case Expr::Kind::kUnion: {
-      DWC_ASSIGN_OR_RETURN(EvalOut left, EvalInternal(*expr.left()));
-      DWC_ASSIGN_OR_RETURN(EvalOut right, EvalInternal(*expr.right()));
+      DWC_ASSIGN_OR_RETURN(EvalOut left, EvalInternal(*expr.left(), filter));
+      DWC_ASSIGN_OR_RETURN(EvalOut right, EvalInternal(*expr.right(), filter));
       DWC_ASSIGN_OR_RETURN(Relation out, UnionInto(*left.rel, *right.rel));
       DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
       return EvalOut{Own(std::move(out)), false};
@@ -616,16 +676,21 @@ Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr) {
   return Status::Internal("unknown expression kind");
 }
 
-Result<Evaluator::EvalOut> Evaluator::EvalDifference(const Expr& expr) {
-  ++stats_.differences;
-  DWC_ASSIGN_OR_RETURN(EvalOut left, EvalInternal(*expr.left()));
+Result<Evaluator::EvalOut> Evaluator::EvalDifference(const Expr& expr,
+                                                     const KeyFilter* filter) {
+  // A pushed filter restricts both sides alike. Only a difference evaluated
+  // whole is counted, and may push a filter of its own into the right side.
+  if (filter == nullptr) {
+    ++stats_.differences;
+  }
+  DWC_ASSIGN_OR_RETURN(EvalOut left, EvalInternal(*expr.left(), filter));
 
   // If the left side is small relative to the right, restrict the right
   // side to the left side's tuples instead of materializing it: the
   // difference only needs right ∩ left.
-  size_t right_estimate = EstimateSize(*expr.right());
-  if (options_.enable_pushdown &&
-      WorthPushdown(left.rel->size(), right_estimate)) {
+  std::optional<KeyFilter> pushed;
+  if (filter == nullptr && options_.enable_pushdown &&
+      WorthPushdown(left.rel->size(), EstimateSize(*expr.right()))) {
     std::optional<std::vector<std::string>> right_names =
         OutputNames(*expr.right(), *env_);
     const Schema& left_schema = left.rel->schema();
@@ -635,25 +700,67 @@ Result<Evaluator::EvalOut> Evaluator::EvalDifference(const Expr& expr) {
       // Both sides hold the same attributes and the filter matches columns
       // by name, so the left's own tuples, in the left's column order, are
       // the key set.
-      std::vector<std::string> attrs;
-      attrs.reserve(left_schema.size());
-      for (const Attribute& attr : left_schema.attributes()) {
-        attrs.push_back(attr.name);
-      }
-      KeyFilter filter{std::move(attrs), &left.rel->tuples()};
+      pushed = KeyFilter{AttrNames(left_schema), &left.rel->tuples()};
+      filter = &*pushed;
       ++stats_.pushdown_differences;
-      DWC_ASSIGN_OR_RETURN(EvalOut right,
-                           EvalWithFilter(*expr.right(), filter));
-      DWC_ASSIGN_OR_RETURN(Relation out, SubtractInto(*left.rel, *right.rel));
-      return EvalOut{Own(std::move(out)), false};
     }
   }
-  DWC_ASSIGN_OR_RETURN(EvalOut right, EvalInternal(*expr.right()));
+  DWC_ASSIGN_OR_RETURN(EvalOut right, EvalInternal(*expr.right(), filter));
   DWC_ASSIGN_OR_RETURN(Relation out, SubtractInto(*left.rel, *right.rel));
   return EvalOut{Own(std::move(out)), false};
 }
 
-Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr) {
+Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr,
+                                               const KeyFilter* filter) {
+  if (filter != nullptr) {
+    // Push the filter attributes each child exposes into that child (an
+    // over-approximation per child), join the small results, then apply
+    // the exact filter.
+    auto eval_child = [&](const Expr& child) -> Result<EvalOut> {
+      std::optional<std::vector<std::string>> names =
+          OutputNames(child, *env_);
+      if (!names.has_value()) {
+        return EvalInternal(child);  // Let plain evaluation report errors.
+      }
+      KeyFilter sub;
+      std::vector<size_t> positions;
+      for (size_t i = 0; i < filter->attrs.size(); ++i) {
+        if (std::find(names->begin(), names->end(), filter->attrs[i]) !=
+            names->end()) {
+          sub.attrs.push_back(filter->attrs[i]);
+          positions.push_back(i);
+        }
+      }
+      if (sub.attrs.empty()) {
+        return EvalInternal(child);
+      }
+      if (sub.attrs.size() == filter->attrs.size()) {
+        return EvalInternal(child, filter);
+      }
+      Relation::TupleSet sub_keys;
+      for (const Tuple& key : *filter->keys) {
+        AddKey(&sub_keys, key, positions);
+      }
+      sub.keys = &sub_keys;
+      return EvalInternal(child, &sub);
+    };
+    DWC_ASSIGN_OR_RETURN(EvalOut left, eval_child(*expr.left()));
+    DWC_ASSIGN_OR_RETURN(EvalOut right, eval_child(*expr.right()));
+    DWC_ASSIGN_OR_RETURN(Relation joined, HashJoin(*left.rel, *right.rel,
+                                                   BuildSide::kLarger));
+    DWC_ASSIGN_OR_RETURN(std::vector<size_t> key_idx,
+                         joined.schema().IndicesOf(filter->attrs));
+    Relation out(joined.schema());
+    for (const Tuple& tuple : joined.tuples()) {
+      if (filter->keys->find(ProjectedRef(tuple, key_idx)) !=
+          filter->keys->end()) {
+        out.Insert(tuple);
+      }
+    }
+    DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
+    return EvalOut{Own(std::move(out)), false};
+  }
+
   ++stats_.joins;
   // Evaluate the smaller-looking side first; if it is genuinely small,
   // evaluate the other side with the join keys pushed down as a filter.
@@ -666,224 +773,44 @@ Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr) {
 
   DWC_ASSIGN_OR_RETURN(EvalOut first, EvalInternal(first_expr));
 
-  EvalOut second;
-  bool have_second = false;
+  KeyFilter pushed;
+  Relation::TupleSet keys;
   if (options_.enable_pushdown &&
       WorthPushdown(first.rel->size(), second_estimate)) {
     std::optional<std::vector<std::string>> second_names =
         OutputNames(second_expr, *env_);
     if (second_names.has_value()) {
-      std::vector<std::string> common;
       for (const Attribute& attr : first.rel->schema().attributes()) {
         if (std::find(second_names->begin(), second_names->end(),
                       attr.name) != second_names->end()) {
-          common.push_back(attr.name);
+          pushed.attrs.push_back(attr.name);
         }
       }
-      if (!common.empty()) {
+      if (!pushed.attrs.empty()) {
         DWC_ASSIGN_OR_RETURN(std::vector<size_t> key_idx,
-                             first.rel->schema().IndicesOf(common));
-        Relation::TupleSet keys;
+                             first.rel->schema().IndicesOf(pushed.attrs));
         for (const Tuple& tuple : first.rel->tuples()) {
           AddKey(&keys, tuple, key_idx);
         }
-        KeyFilter filter{std::move(common), &keys};
+        pushed.keys = &keys;
         ++stats_.pushdown_joins;
-        DWC_ASSIGN_OR_RETURN(second, EvalWithFilter(second_expr, filter));
-        have_second = true;
       }
     }
   }
-  if (!have_second) {
-    DWC_ASSIGN_OR_RETURN(second, EvalInternal(second_expr));
-  }
+  DWC_ASSIGN_OR_RETURN(
+      EvalOut second,
+      EvalInternal(second_expr, pushed.keys != nullptr ? &pushed : nullptr));
 
   const EvalOut& left = first_is_left ? first : second;
   const EvalOut& right = first_is_left ? second : first;
   // Index the stable side when exactly one side is stable (its index cache
   // persists across refreshes); otherwise HashJoin picks the larger side.
+  BuildSide side = BuildSide::kLarger;
   if (left.stable != right.stable) {
-    if (right.stable) {
-      DWC_ASSIGN_OR_RETURN(Relation out,
-                           HashJoin(*left.rel, *right.rel,
-                                    /*prefer_build_right=*/true));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    // Left side is the stable one: join with swapped arguments so the index
-    // lands on it, then realign the columns to the canonical
-    // left-then-right-extra order.
-    DWC_ASSIGN_OR_RETURN(Relation out,
-                         HashJoin(*right.rel, *left.rel,
-                                  /*prefer_build_right=*/true));
-    std::vector<Attribute> out_attrs = left.rel->schema().attributes();
-    for (const Attribute& attr : right.rel->schema().attributes()) {
-      if (!left.rel->schema().Contains(attr.name)) {
-        out_attrs.push_back(attr);
-      }
-    }
-    DWC_ASSIGN_OR_RETURN(Schema target, Schema::Create(std::move(out_attrs)));
-    DWC_ASSIGN_OR_RETURN(out, out.AlignTo(target));
-    return EvalOut{Own(std::move(out)), false};
+    side = right.stable ? BuildSide::kRight : BuildSide::kLeft;
   }
-  DWC_ASSIGN_OR_RETURN(Relation out, HashJoin(*left.rel, *right.rel,
-                                              /*prefer_build_right=*/false));
+  DWC_ASSIGN_OR_RETURN(Relation out, HashJoin(*left.rel, *right.rel, side));
   return EvalOut{Own(std::move(out)), false};
-}
-
-Result<Evaluator::EvalOut> Evaluator::EvalWithFilter(const Expr& expr,
-                                                     const KeyFilter& filter) {
-  DWC_RETURN_IF_ERROR(CheckCancel());
-  switch (expr.kind()) {
-    case Expr::Kind::kBase: {
-      const Relation* rel = env_->Find(expr.base_name());
-      if (rel == nullptr) {
-        return Status::NotFound(
-            StrCat("relation '", expr.base_name(), "' is not bound"));
-      }
-      if (env_->IsSourceBinding(expr.base_name())) {
-        ++stats_.source_reads;
-      }
-      // Probe the (cached) index with every key.
-      const Relation::Index& index = rel->GetIndex(filter.attrs);
-      Relation out(rel->schema());
-      stats_.index_probes += filter.keys->size();
-      for (const Tuple& key : *filter.keys) {
-        auto bucket = index.find(key);
-        if (bucket == index.end()) {
-          continue;
-        }
-        for (const Tuple* tuple : bucket->second) {
-          out.Insert(*tuple);
-        }
-      }
-      DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    case Expr::Kind::kEmpty:
-      return EvalOut{Own(Relation(expr.empty_schema())), false};
-    case Expr::Kind::kSelect: {
-      DWC_ASSIGN_OR_RETURN(EvalOut child,
-                           EvalWithFilter(*expr.child(), filter));
-      Relation out(child.rel->schema());
-      DWC_RETURN_IF_ERROR(FilterInto(*child.rel, *expr.predicate(), &out));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    case Expr::Kind::kProject: {
-      // filter.attrs ⊆ expr.attrs() ⊆ child attrs: push straight through.
-      DWC_ASSIGN_OR_RETURN(EvalOut child,
-                           EvalWithFilter(*expr.child(), filter));
-      const Schema& in = child.rel->schema();
-      DWC_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                           in.IndicesOf(expr.attrs()));
-      std::vector<Attribute> attrs;
-      for (size_t idx : indices) {
-        attrs.push_back(in.attribute(idx));
-      }
-      DWC_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(attrs)));
-      Relation out(std::move(out_schema));
-      DWC_RETURN_IF_ERROR(ProjectInto(*child.rel, indices, &out));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    case Expr::Kind::kRename: {
-      // Map filter attribute names back through the rename, recurse, then
-      // re-apply the rename.
-      std::map<std::string, std::string> reverse;
-      for (const auto& [from, to] : expr.renames()) {
-        reverse[to] = from;
-      }
-      KeyFilter inner{filter.attrs, filter.keys};
-      for (std::string& name : inner.attrs) {
-        auto it = reverse.find(name);
-        if (it != reverse.end()) {
-          name = it->second;
-        }
-      }
-      DWC_ASSIGN_OR_RETURN(EvalOut child,
-                           EvalWithFilter(*expr.child(), inner));
-      const Schema& in = child.rel->schema();
-      std::vector<Attribute> attrs;
-      for (const Attribute& attr : in.attributes()) {
-        auto it = expr.renames().find(attr.name);
-        attrs.push_back(
-            Attribute{it == expr.renames().end() ? attr.name : it->second,
-                      attr.type});
-      }
-      DWC_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(attrs)));
-      Relation out(std::move(out_schema));
-      out.Reserve(child.rel->size());
-      for (const Tuple& tuple : child.rel->tuples()) {
-        out.Insert(tuple);
-      }
-      DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    case Expr::Kind::kUnion: {
-      DWC_ASSIGN_OR_RETURN(EvalOut left, EvalWithFilter(*expr.left(), filter));
-      DWC_ASSIGN_OR_RETURN(EvalOut right,
-                           EvalWithFilter(*expr.right(), filter));
-      DWC_ASSIGN_OR_RETURN(Relation out, UnionInto(*left.rel, *right.rel));
-      DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    case Expr::Kind::kDifference: {
-      DWC_ASSIGN_OR_RETURN(EvalOut left, EvalWithFilter(*expr.left(), filter));
-      DWC_ASSIGN_OR_RETURN(EvalOut right,
-                           EvalWithFilter(*expr.right(), filter));
-      DWC_ASSIGN_OR_RETURN(Relation out, SubtractInto(*left.rel, *right.rel));
-      return EvalOut{Own(std::move(out)), false};
-    }
-    case Expr::Kind::kJoin: {
-      // Push the filter attributes each child exposes into that child (an
-      // over-approximation per child), join the small results, then apply
-      // the exact filter.
-      auto eval_child = [&](const Expr& child) -> Result<EvalOut> {
-        std::optional<std::vector<std::string>> names =
-            OutputNames(child, *env_);
-        if (!names.has_value()) {
-          return EvalInternal(child);  // Let plain evaluation report errors.
-        }
-        std::vector<std::string> sub_attrs;
-        std::vector<size_t> positions;
-        for (size_t i = 0; i < filter.attrs.size(); ++i) {
-          if (std::find(names->begin(), names->end(), filter.attrs[i]) !=
-              names->end()) {
-            sub_attrs.push_back(filter.attrs[i]);
-            positions.push_back(i);
-          }
-        }
-        if (sub_attrs.empty()) {
-          return EvalInternal(child);
-        }
-        if (sub_attrs.size() == filter.attrs.size()) {
-          return EvalWithFilter(child, filter);
-        }
-        Relation::TupleSet sub_keys;
-        for (const Tuple& key : *filter.keys) {
-          AddKey(&sub_keys, key, positions);
-        }
-        KeyFilter sub_filter{std::move(sub_attrs), &sub_keys};
-        return EvalWithFilter(child, sub_filter);
-      };
-      DWC_ASSIGN_OR_RETURN(EvalOut left, eval_child(*expr.left()));
-      DWC_ASSIGN_OR_RETURN(EvalOut right, eval_child(*expr.right()));
-      DWC_ASSIGN_OR_RETURN(Relation joined,
-                           HashJoin(*left.rel, *right.rel,
-                                    /*prefer_build_right=*/false));
-      // Exact filter on the join output.
-      DWC_ASSIGN_OR_RETURN(std::vector<size_t> key_idx,
-                           joined.schema().IndicesOf(filter.attrs));
-      Relation out(joined.schema());
-      for (const Tuple& tuple : joined.tuples()) {
-        if (filter.keys->find(ProjectedRef(tuple, key_idx)) !=
-            filter.keys->end()) {
-          out.Insert(tuple);
-        }
-      }
-      DWC_RETURN_IF_ERROR(ChargeTuples(out.size()));
-      return EvalOut{Own(std::move(out)), false};
-    }
-  }
-  return Status::Internal("unknown expression kind");
 }
 
 Result<Relation> EvalExpr(const Expr& expr, const Environment& env) {

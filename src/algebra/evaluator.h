@@ -28,14 +28,9 @@ struct EvaluatorOptions {
   // matches nearly all of them costs more than it saves. Also used by the
   // ablation benchmark (bench/bench_pushdown_ablation.cc) and for
   // debugging.
+  // The thresholds that decide when pushdown pays are constants in
+  // evaluator.cc (kPushdownMaxKeys, kPushdownSelectivityFactor).
   bool enable_pushdown = true;
-
-  // Pushdown thresholds (see WorthPushdown): an already-evaluated operand of
-  // `actual` tuples is pushed down when actual <= pushdown_max_keys, or when
-  // actual * pushdown_selectivity_factor < the other side's size estimate.
-  // Both are swept by bench_pushdown_ablation.
-  size_t pushdown_max_keys = 8;
-  size_t pushdown_selectivity_factor = 8;
 
   // Accepted and ignored: kept only for perfbench, which sets it.
   // Evaluation always runs on the calling thread.
@@ -131,28 +126,31 @@ class Evaluator {
   };
 
   // Key filter for semijoin pushdown: only tuples whose projection onto
-  // `attrs` is in `keys` survive.
+  // `attrs` is in `keys` survive. This is what makes delta-maintenance
+  // expressions O(|delta|): a small relation joined or differenced against
+  // a big reconstruction expression pushes its key set through
+  // pi/sigma/union/difference/rename down to the base relations, which are
+  // probed via their cached indexes instead of being scanned.
   struct KeyFilter {
     std::vector<std::string> attrs;
-    const Relation::TupleSet* keys;
+    const Relation::TupleSet* keys = nullptr;
   };
+
+  // Which side of a hash join the index is built on.
+  enum class BuildSide { kLeft, kRight, kLarger };
 
   // Memo wrapper: consults the subplan cache (when wired) before delegating
   // to EvalNode, and stores fresh exact results afterwards. Every recursive
   // evaluation funnels through here, so sharing applies at all levels of
-  // the DAG. Filter-restricted evaluations (EvalWithFilter) are *not*
-  // routed through the cache: their results are subsets, not the subplan's
-  // value.
-  Result<EvalOut> EvalInternal(const Expr& expr);
-  // The actual operator dispatch (the pre-cache EvalInternal).
-  Result<EvalOut> EvalNode(const Expr& expr);
-  Result<EvalOut> EvalJoin(const Expr& expr);
-  Result<EvalOut> EvalDifference(const Expr& expr);
-
-  // True when an already-evaluated operand of `actual` tuples is small
-  // enough relative to the other operand's `estimate` that index probing
-  // beats a scan (thresholds from options_).
-  bool WorthPushdown(size_t actual, size_t estimate) const;
+  // the DAG. Filtered evaluations (`filter` non-null) bypass the cache:
+  // their results are subsets, not the subplan's value.
+  Result<EvalOut> EvalInternal(const Expr& expr,
+                               const KeyFilter* filter = nullptr);
+  // The operator dispatch: evaluates `expr`, restricted (exactly) to the
+  // tuples matching `filter` when it is non-null.
+  Result<EvalOut> EvalNode(const Expr& expr, const KeyFilter* filter);
+  Result<EvalOut> EvalJoin(const Expr& expr, const KeyFilter* filter);
+  Result<EvalOut> EvalDifference(const Expr& expr, const KeyFilter* filter);
 
   // Per-operator cancellation point / budget accounting; Ok when no token
   // is wired (options_.cancel == nullptr).
@@ -166,23 +164,16 @@ class Evaluator {
   }
 
   // Kernels. Each row loop is a cancellation point (see RowMeter in
-  // evaluator.cc). In HashJoin, `prefer_build_right` marks the right side
-  // as an environment binding whose cached index should be (re)used.
+  // evaluator.cc).
   Result<Relation> HashJoin(const Relation& left, const Relation& right,
-                            bool prefer_build_right);
+                            BuildSide side);
+  Result<Relation> ProbeBase(const Relation& rel, const KeyFilter& filter,
+                             const Predicate* predicate);
   Status FilterInto(const Relation& in, const Predicate& predicate,
                     Relation* out);
   Status ProjectInto(const Relation& in, const std::vector<size_t>& indices,
                      Relation* out);
   Result<Relation> SubtractInto(const Relation& left, const Relation& right);
-
-  // Evaluates `expr` restricted (exactly) to tuples matching `filter`.
-  // This is what makes delta-maintenance expressions O(|delta|): a small
-  // relation joined or differenced against a big reconstruction expression
-  // pushes its key set through pi/sigma/union/difference/rename down to the
-  // base relations, which are probed via their cached indexes instead of
-  // being scanned.
-  Result<EvalOut> EvalWithFilter(const Expr& expr, const KeyFilter& filter);
 
   // Crude cardinality estimate used to decide pushdown direction.
   size_t EstimateSize(const Expr& expr) const;

@@ -134,6 +134,11 @@ const Relation::Index& Relation::GetIndex(
   return pos->second.index;
 }
 
+bool Relation::HasIndex(const std::vector<std::string>& attrs) const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  return indexes_.count(Join(attrs, ",")) > 0;
+}
+
 std::vector<Tuple> Relation::SortedTuples() const {
   std::vector<Tuple> sorted(tuples().begin(), tuples().end());
   std::sort(sorted.begin(), sorted.end());

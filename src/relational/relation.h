@@ -142,6 +142,8 @@ class Relation {
   // relation is destroyed or assigned over, or is mutated while it shares
   // its body: that mutation clones the body and drops every index.
   const Index& GetIndex(const std::vector<std::string>& attrs) const;
+  // True when the index over `attrs` is cached; for tests.
+  bool HasIndex(const std::vector<std::string>& attrs) const;
 
   // Tuples in deterministic (lexicographic) order; for printing and tests.
   std::vector<Tuple> SortedTuples() const;

@@ -1,14 +1,22 @@
 // Differential test for the semijoin-pushdown evaluator: joins and
-// differences where one side is small take the EvalWithFilter fast path;
+// differences where one side is small push its keys down as a filter
+// through the same operator dispatch that evaluates unfiltered plans;
 // their results must be identical to a reference evaluator without any
-// pushdown. Random expressions over random states, plus hand-picked shapes
-// that exercise each pushdown rule.
+// pushdown, in content and in column order. Random expressions over random
+// states under every evaluator setting, plus hand-picked shapes that
+// exercise each pushdown rule.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "algebra/evaluator.h"
+#include "algebra/interner.h"
+#include "algebra/subplan_cache.h"
 #include "parser/parser.h"
+#include "runtime/cancel.h"
 #include "testing/property_util.h"
+#include "testing/reference_eval.h"
 #include "testing/test_util.h"
 #include "util/rng.h"
 #include "workload/random_db.h"
@@ -19,115 +27,30 @@ namespace {
 
 using ::dwc::testing::CatalogShape;
 using ::dwc::testing::MakeCatalog;
+using ::dwc::testing::ReferenceEval;
 
-// Reference: evaluate bottom-up with no pushdown by materializing every
-// operand through fresh single-node evaluations.
-Result<Relation> ReferenceEval(const Expr& expr, const Environment& env) {
-  switch (expr.kind()) {
-    case Expr::Kind::kBase: {
-      const Relation* rel = env.Find(expr.base_name());
-      if (rel == nullptr) {
-        return Status::NotFound(expr.base_name());
-      }
-      return *rel;
-    }
+// `expr` with the operands of every join and union swapped: the same
+// answer in another column order, and to the interner a commuted twin of
+// `expr` whose cached result must be realigned before it is reused.
+ExprRef Commuted(const ExprRef& expr) {
+  switch (expr->kind()) {
+    case Expr::Kind::kJoin:
+      return Expr::Join(Commuted(expr->right()), Commuted(expr->left()));
+    case Expr::Kind::kUnion:
+      return Expr::Union(Commuted(expr->right()), Commuted(expr->left()));
+    case Expr::Kind::kDifference:
+      return Expr::Difference(Commuted(expr->left()), Commuted(expr->right()));
+    case Expr::Kind::kSelect:
+      return Expr::Select(expr->predicate(), Commuted(expr->child()));
+    case Expr::Kind::kProject:
+      return Expr::Project(expr->attrs(), Commuted(expr->child()));
+    case Expr::Kind::kRename:
+      return Expr::Rename(expr->renames(), Commuted(expr->child()));
+    case Expr::Kind::kBase:
     case Expr::Kind::kEmpty:
-      return Relation(expr.empty_schema());
-    case Expr::Kind::kSelect: {
-      DWC_ASSIGN_OR_RETURN(Relation child, ReferenceEval(*expr.child(), env));
-      Relation out(child.schema());
-      for (const Tuple& tuple : child.tuples()) {
-        DWC_ASSIGN_OR_RETURN(bool keep,
-                             expr.predicate()->Eval(child.schema(), tuple));
-        if (keep) {
-          out.Insert(tuple);
-        }
-      }
-      return out;
-    }
-    case Expr::Kind::kProject: {
-      DWC_ASSIGN_OR_RETURN(Relation child, ReferenceEval(*expr.child(), env));
-      DWC_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                           child.schema().IndicesOf(expr.attrs()));
-      std::vector<Attribute> attrs;
-      for (size_t idx : indices) {
-        attrs.push_back(child.schema().attribute(idx));
-      }
-      DWC_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-      Relation out(std::move(schema));
-      for (const Tuple& tuple : child.tuples()) {
-        out.Insert(tuple.Project(indices));
-      }
-      return out;
-    }
-    case Expr::Kind::kRename: {
-      DWC_ASSIGN_OR_RETURN(Relation child, ReferenceEval(*expr.child(), env));
-      std::vector<Attribute> attrs;
-      for (const Attribute& attr : child.schema().attributes()) {
-        auto it = expr.renames().find(attr.name);
-        attrs.push_back(Attribute{
-            it == expr.renames().end() ? attr.name : it->second, attr.type});
-      }
-      DWC_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-      Relation out(std::move(schema));
-      for (const Tuple& tuple : child.tuples()) {
-        out.Insert(tuple);
-      }
-      return out;
-    }
-    case Expr::Kind::kJoin: {
-      DWC_ASSIGN_OR_RETURN(Relation left, ReferenceEval(*expr.left(), env));
-      DWC_ASSIGN_OR_RETURN(Relation right, ReferenceEval(*expr.right(), env));
-      // Nested loop join: the dumbest correct implementation.
-      const Schema& ls = left.schema();
-      const Schema& rs = right.schema();
-      std::vector<std::string> common = ls.CommonWith(rs);
-      DWC_ASSIGN_OR_RETURN(std::vector<size_t> lidx, ls.IndicesOf(common));
-      DWC_ASSIGN_OR_RETURN(std::vector<size_t> ridx, rs.IndicesOf(common));
-      std::vector<Attribute> attrs = ls.attributes();
-      std::vector<size_t> right_extra;
-      for (size_t i = 0; i < rs.size(); ++i) {
-        if (!ls.Contains(rs.attribute(i).name)) {
-          attrs.push_back(rs.attribute(i));
-          right_extra.push_back(i);
-        }
-      }
-      DWC_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-      Relation out(std::move(schema));
-      for (const Tuple& lt : left.tuples()) {
-        for (const Tuple& rt : right.tuples()) {
-          if (lt.Project(lidx) != rt.Project(ridx)) {
-            continue;
-          }
-          std::vector<Value> values = lt.values();
-          for (size_t idx : right_extra) {
-            values.push_back(rt.at(idx));
-          }
-          out.Insert(Tuple(std::move(values)));
-        }
-      }
-      return out;
-    }
-    case Expr::Kind::kUnion: {
-      DWC_ASSIGN_OR_RETURN(Relation left, ReferenceEval(*expr.left(), env));
-      DWC_ASSIGN_OR_RETURN(Relation right, ReferenceEval(*expr.right(), env));
-      DWC_ASSIGN_OR_RETURN(Relation aligned, right.AlignTo(left.schema()));
-      for (const Tuple& tuple : aligned.tuples()) {
-        left.Insert(tuple);
-      }
-      return left;
-    }
-    case Expr::Kind::kDifference: {
-      DWC_ASSIGN_OR_RETURN(Relation left, ReferenceEval(*expr.left(), env));
-      DWC_ASSIGN_OR_RETURN(Relation right, ReferenceEval(*expr.right(), env));
-      DWC_ASSIGN_OR_RETURN(Relation aligned, right.AlignTo(left.schema()));
-      for (const Tuple& tuple : aligned.tuples()) {
-        left.Erase(tuple);
-      }
-      return left;
-    }
+      return expr;
   }
-  return Status::Internal("unknown kind");
+  return expr;
 }
 
 class PushdownPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -154,6 +77,72 @@ TEST_P(PushdownPropertyTest, EvaluatorMatchesReferenceOnRandomExprs) {
       ASSERT_TRUE(testing::RelationsEqual(*fast, *reference))
           << (*expr)->ToString();
     }
+  }
+}
+
+// Every evaluator setting answers a random query as the reference does, in
+// content and in column order: pushdown on and off, the subplan cache off,
+// under pressure (64 tuples) and roomy, over interned plans, with a cancel
+// token that never fires. Each setting keeps one cache across the queries
+// and answers each query, and then its commuted twin, twice, so answers
+// come from fresh evaluations, recycled subplans and realigned twins.
+TEST_P(PushdownPropertyTest, EverySettingMatchesReferenceColumnOrder) {
+  Rng rng(GetParam());
+  for (CatalogShape shape : {CatalogShape::kChain, CatalogShape::kKeyedInds}) {
+    std::shared_ptr<Catalog> catalog = MakeCatalog(shape);
+    Result<Database> db = GenerateRandomDatabase(catalog, &rng);
+    DWC_ASSERT_OK(db);
+    Environment env = Environment::FromDatabase(*db);
+    ExprInterner interner;
+    CancelToken never_fires;
+    struct Setting {
+      EvaluatorOptions options;
+      std::unique_ptr<SubplanCache> cache;
+    };
+    std::vector<Setting> settings;
+    for (bool pushdown : {true, false}) {
+      for (size_t budget : {size_t{0}, size_t{64}, size_t{1} << 20}) {
+        Setting setting;
+        setting.options.enable_pushdown = pushdown;
+        setting.options.cache_budget_tuples = budget;
+        setting.options.cancel = &never_fires;
+        setting.cache = std::make_unique<SubplanCache>();
+        setting.cache->set_budget(budget);
+        settings.push_back(std::move(setting));
+      }
+    }
+    for (int round = 0; round < 20; ++round) {
+      RandomQueryOptions query_options;
+      query_options.max_depth = 4;
+      Result<ExprRef> generated =
+          GenerateRandomQuery(*catalog, &rng, query_options);
+      DWC_ASSERT_OK(generated);
+      for (const ExprRef& query : {*generated, Commuted(*generated)}) {
+        ExprRef expr = interner.Intern(query);
+        Result<Relation> reference = ReferenceEval(*expr, env);
+        for (const Setting& setting : settings) {
+          for (int pass = 0; pass < 2; ++pass) {
+            SCOPED_TRACE(::testing::Message()
+                         << expr->ToString() << " pushdown="
+                         << setting.options.enable_pushdown << " budget="
+                         << setting.options.cache_budget_tuples
+                         << " pass=" << pass);
+            Evaluator evaluator(&env, setting.options, &interner,
+                                setting.cache.get());
+            Result<Relation> out = evaluator.Materialize(*expr);
+            ASSERT_EQ(out.ok(), reference.ok());
+            if (!out.ok()) {
+              continue;
+            }
+            EXPECT_TRUE(out->schema() == reference->schema())
+                << out->schema().ToString() << " vs "
+                << reference->schema().ToString();
+            EXPECT_TRUE(testing::RelationsEqual(*out, *reference));
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(never_fires.Check().ok());
   }
 }
 
@@ -233,6 +222,79 @@ INSERT INTO Small VALUES (1, 2), (5000, 0);
     // (1,2) is in both right arms; (5000,0) is in neither.
     EXPECT_EQ(pushed_out->size(), 1u);
   }
+}
+
+TEST(PushdownShapesTest, BoundLeftJoinsComputedRight) {
+  // The bound relation is the left operand and the computed side is too
+  // big to push down: the join builds its index on the bound side, whose
+  // index cache outlives the evaluation, and still emits the left's
+  // columns then the right's extra ones.
+  ScriptContext context = testing::MustRun(R"(
+CREATE TABLE Big(k INT, v INT);
+CREATE TABLE Other(w INT, k INT);
+)");
+  Relation* big = context.db.FindMutableRelation("Big");
+  Relation* other = context.db.FindMutableRelation("Other");
+  for (int64_t i = 0; i < 40; ++i) {
+    big->Insert(Tuple({Value::Int(i), Value::Int(i * 2)}));
+    other->Insert(Tuple({Value::Int(i), Value::Int(i % 20)}));
+  }
+  Environment env = Environment::FromDatabase(context.db);
+  Result<ExprRef> expr = ParseExpr("Big join select[w < 12](Other)");
+  DWC_ASSERT_OK(expr);
+  Result<Relation> reference = ReferenceEval(**expr, env);
+  DWC_ASSERT_OK(reference);
+  ASSERT_EQ(reference->schema().ToString(),
+            "(k INT, v INT, w INT)");
+  const Relation* bound = env.Find("Big");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_FALSE(bound->HasIndex({"k"}));
+  for (bool pushdown : {true, false}) {
+    SCOPED_TRACE(pushdown);
+    EvaluatorOptions options;
+    options.enable_pushdown = pushdown;
+    Evaluator evaluator(&env, options);
+    Result<Relation> out = evaluator.Materialize(**expr);
+    DWC_ASSERT_OK(out);
+    EXPECT_EQ(evaluator.stats().pushdown_joins, 0u);
+    EXPECT_TRUE(out->schema() == reference->schema())
+        << out->schema().ToString();
+    EXPECT_TRUE(testing::RelationsEqual(*out, *reference));
+    EXPECT_TRUE(bound->HasIndex({"k"}));
+  }
+  EXPECT_EQ(reference->size(), 12u);
+}
+
+TEST(PushdownShapesTest, EqualityAndRangeSelectionProbesOnce) {
+  // σ[a = c and b > d] over a bound relation probes its index once with
+  // the key (c) and tests the whole predicate on the matches.
+  ScriptContext context = testing::MustRun(R"(
+CREATE TABLE R(a INT, b INT);
+)");
+  Relation* r = context.db.FindMutableRelation("R");
+  for (int64_t i = 0; i < 100; ++i) {
+    r->Insert(Tuple({Value::Int(i % 10), Value::Int(i)}));
+  }
+  Environment env = Environment::FromDatabase(context.db);
+  Result<ExprRef> expr = ParseExpr("select[a = 3 and b > 50](R)");
+  DWC_ASSERT_OK(expr);
+  Evaluator pushed(&env);
+  Result<Relation> pushed_out = pushed.Materialize(**expr);
+  DWC_ASSERT_OK(pushed_out);
+  EXPECT_EQ(pushed.stats().index_probes, 1u);
+  EvaluatorOptions plain_options;
+  plain_options.enable_pushdown = false;
+  Evaluator plain(&env, plain_options);
+  Result<Relation> plain_out = plain.Materialize(**expr);
+  DWC_ASSERT_OK(plain_out);
+  EXPECT_EQ(plain.stats().index_probes, 0u);
+  EXPECT_TRUE(pushed_out->schema() == plain_out->schema());
+  EXPECT_TRUE(testing::RelationsEqual(*pushed_out, *plain_out));
+  Result<Relation> reference = ReferenceEval(**expr, env);
+  DWC_ASSERT_OK(reference);
+  EXPECT_TRUE(testing::RelationsEqual(*pushed_out, *reference));
+  // a = 3 holds for b in {3, 13, ..., 93}; b > 50 keeps 53 through 93.
+  EXPECT_EQ(pushed_out->size(), 5u);
 }
 
 TEST(PushdownShapesTest, FilterThroughRenameAndSelect) {
