@@ -1,6 +1,7 @@
 // B5 / E13 (DESIGN.md): the Section 5 star-schema scenario at benchmark
-// scale — initial load and fact-append refresh throughput across batch
-// sizes, with zero source queries throughout.
+// scale — initial load, the checkpoint text of the loaded warehouse, and
+// fact-append refresh throughput across batch sizes, with zero source
+// queries throughout.
 //
 // Expected shape: per-refresh latency grows sub-linearly with batch size
 // (fixed per-refresh overhead amortizes), so tuples/s rises with the batch;
@@ -10,6 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "util/string_util.h"
+#include "warehouse/persistence.h"
 #include "workload/star_schema.h"
 
 namespace dwc {
@@ -72,11 +74,30 @@ void BM_SalesAppend(benchmark::State& state) {
   state.counters["src_queries"] = static_cast<double>(source.query_count());
 }
 
+// The text a checkpoint writes (WarehouseToScript): the sources rebuilt
+// through W^-1, then written as INSERT statements.
+void BM_Checkpoint(benchmark::State& state) {
+  size_t sales = static_cast<size_t>(state.range(0));
+  StarSchema star = Unwrap(BuildStarSchema(BenchConfig(sales)), "star");
+  auto spec = std::make_shared<WarehouseSpec>(
+      Unwrap(SpecifyWarehouse(star.catalog, star.views), "spec"));
+  Warehouse warehouse = Unwrap(Warehouse::Load(spec, star.db), "load");
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string script = Unwrap(WarehouseToScript(warehouse), "script");
+    bytes = script.size();
+    benchmark::DoNotOptimize(script);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+
 BENCHMARK(BM_InitialLoad)
     ->Arg(2000)
     ->Arg(8000)
     ->Arg(32000)
     ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_Checkpoint)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_SalesAppend)
     ->Arg(1)
@@ -107,12 +128,27 @@ int Main(int argc, char** argv) {
     row.name = StrCat("initial_load/sales=", sales);
     // Load materializes with the default evaluator options.
     row.threads = 1;
-    row.latency = SummarizeLatencies(MeasureLatenciesUs(3, [&] {
+    row.latency = SummarizeLatencies(MeasureLatenciesUs(5, [&] {
       Warehouse warehouse = Unwrap(Warehouse::Load(spec, star.db), "load");
       benchmark::DoNotOptimize(warehouse);
     }));
     row.counters["fact_tuples"] = static_cast<double>(sales);
     rows.push_back(std::move(row));
+    if (sales != 8000) {
+      continue;
+    }
+    Warehouse warehouse = Unwrap(Warehouse::Load(spec, star.db), "load");
+    BenchRow checkpoint;
+    checkpoint.name = StrCat("checkpoint/sales=", sales);
+    checkpoint.threads = 1;
+    size_t bytes = 0;
+    checkpoint.latency = SummarizeLatencies(MeasureLatenciesUs(5, [&] {
+      std::string script = Unwrap(WarehouseToScript(warehouse), "script");
+      bytes = script.size();
+      benchmark::DoNotOptimize(script);
+    }));
+    checkpoint.counters["bytes"] = static_cast<double>(bytes);
+    rows.push_back(std::move(checkpoint));
   }
   for (size_t batch : {size_t{1}, size_t{10}, size_t{100}, size_t{1000}}) {
     StarSchema star = Unwrap(BuildStarSchema(BenchConfig(6000)), "star");

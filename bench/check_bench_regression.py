@@ -4,6 +4,7 @@
 Usage:
     check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.25]
                               [--metric ops_per_sec|p50_us|p99_us ...]
+                              [--row PREFIX ...]
 
 Compares rows by name: the check fails if any baseline row is missing
 from the fresh run, or if a fresh row's metric regressed more than
@@ -19,6 +20,11 @@ benchmark where both throughput collapses and tail-latency blowups are
 regressions); every metric uses the same threshold, and a single missing
 row is reported once per metric. Omitting the flag gates ops_per_sec
 only, exactly as before.
+
+`--row` may repeat to gate only the baseline rows whose name starts with
+one of the given prefixes (e.g. `--row initial_load/ --row checkpoint/`);
+the other rows are still printed for the record but never fail the check.
+Omitting it gates every baseline row.
 
 Stdlib only — CI runs this straight from the checkout.
 """
@@ -59,6 +65,11 @@ def check_metric(args, metric):
     )
     print(f"{'configuration':<44} {'baseline':>12} {'fresh':>12} {'ratio':>7}")
     for name, base_value in sorted(baseline.items()):
+        if args.row and not name.startswith(tuple(args.row)):
+            if name in fresh:
+                print(f"{name:<44} {base_value:>12.1f} "
+                      f"{fresh[name]:>12.1f}  (not gated)")
+            continue
         if name not in fresh:
             failures.append(f"row missing from fresh run: {name}")
             print(f"{name:<44} {base_value:>12.1f} {'MISSING':>12}")
@@ -106,6 +117,13 @@ def main():
         help="row field to compare; repeatable to gate several metrics at "
         "once (default ops_per_sec; the *_us latency percentiles gate in "
         "the lower-is-better direction)",
+    )
+    parser.add_argument(
+        "--row",
+        action="append",
+        default=None,
+        help="gate only baseline rows whose name starts with this prefix; "
+        "repeatable (default: every row)",
     )
     args = parser.parse_args()
     metrics = args.metric or ["ops_per_sec"]

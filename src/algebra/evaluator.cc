@@ -1,6 +1,7 @@
 #include "algebra/evaluator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "util/string_util.h"
@@ -77,19 +78,6 @@ std::optional<std::vector<std::string>> OutputNames(const Expr& expr,
       return OutputNames(*expr.left(), env);
   }
   return std::nullopt;
-}
-
-// Concatenates one probe/build match into an output tuple in canonical
-// left-then-right-extra column order.
-Tuple ConcatMatch(const Tuple& pt, const Tuple& bt, bool build_right,
-                  const std::vector<size_t>& right_extra) {
-  const Tuple& lt = build_right ? pt : bt;
-  const Tuple& rt = build_right ? bt : pt;
-  std::vector<Value> values = lt.values();
-  for (size_t idx : right_extra) {
-    values.push_back(rt.at(idx));
-  }
-  return Tuple(std::move(values));
 }
 
 // Inserts `right`'s tuples into a copy of `left` (set union). The copy
@@ -240,80 +228,147 @@ std::string EvalStats::ToString() const {
                 source_reads);
 }
 
-// Hash-joins two materialized relations (natural join), building the index
-// on `side`: the caller names a stable environment binding when there is
-// one, since its cached index then serves every later refresh, which is
-// what makes delta maintenance O(|delta|). The output is in
-// left-then-right-extra column order whichever side is built.
-Result<Relation> Evaluator::HashJoin(const Relation& left,
-                                     const Relation& right, BuildSide side) {
-  const Schema& ls = left.schema();
-  const Schema& rs = right.schema();
-  std::vector<std::string> join_attrs = ls.CommonWith(rs);
-  std::vector<Attribute> out_attrs = ls.attributes();
-  std::vector<size_t> right_extra;
-  for (size_t i = 0; i < rs.size(); ++i) {
-    const Attribute& attr = rs.attribute(i);
-    std::optional<size_t> idx = ls.IndexOf(attr.name);
-    if (idx.has_value()) {
-      if (ls.attribute(*idx).type != attr.type) {
+// The one join kernel: the natural join of `operands`, with operand 0's
+// columns first and each later operand's new ones after it, in operand
+// order. Each tuple of operands[probe] walks the others' cached indexes in
+// turn, each keyed on the attributes it shares with the operands walked
+// before it, and only whole matches become tuples: a chain builds no
+// intermediate relation. A step that shares no attribute (a cross product)
+// visits every tuple of its operand; a two-way cross product probes with
+// operand 0, so its rows go in left-major.
+Result<Relation> Evaluator::JoinChain(
+    const std::vector<const Relation*>& operands, size_t probe) {
+  // Output column c comes from column source_col[c] of operand
+  // source_op[c]: the first operand that holds the attribute.
+  std::vector<Attribute> out_attrs;
+  std::vector<size_t> source_op;
+  std::vector<size_t> source_col;
+  for (size_t op = 0; op < operands.size(); ++op) {
+    const Schema& schema = operands[op]->schema();
+    for (size_t i = 0; i < schema.size(); ++i) {
+      const Attribute& attr = schema.attribute(i);
+      auto seen = std::find_if(
+          out_attrs.begin(), out_attrs.end(),
+          [&](const Attribute& have) { return have.name == attr.name; });
+      if (seen == out_attrs.end()) {
+        out_attrs.push_back(attr);
+        source_op.push_back(op);
+        source_col.push_back(i);
+      } else if (seen->type != attr.type) {
         return Status::InvalidArgument(
             StrCat("join attribute '", attr.name, "' has conflicting types"));
       }
-    } else {
-      out_attrs.push_back(attr);
-      right_extra.push_back(i);
     }
   }
-  DWC_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(out_attrs)));
+  DWC_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(out_attrs));
   Relation out(std::move(out_schema));
-  RowMeter meter(options_.cancel, out);
 
-  if (join_attrs.empty()) {
-    // Cross-product-shaped join (no common attributes) — the pathological
-    // translated-query shape the governor exists to bound. Clamp the
-    // up-front reservation to the remaining tuple budget, and meter every
-    // emitted pair, so a deadline/budget fires mid-product instead of after
-    // |L|x|R| work.
-    const size_t product = left.size() * right.size();
-    size_t reserve = product;
-    if (options_.cancel != nullptr) {
-      reserve = std::min(product, options_.cancel->RemainingBudget());
-    }
-    out.Reserve(reserve);
-    for (const Tuple& lt : left.tuples()) {
-      for (const Tuple& rt : right.tuples()) {
-        DWC_RETURN_IF_ERROR(meter.Next());
-        std::vector<Value> values = lt.values();
-        for (size_t idx : right_extra) {
-          values.push_back(rt.at(idx));
-        }
-        out.Insert(Tuple(std::move(values)));
-      }
-    }
-    DWC_RETURN_IF_ERROR(meter.Finish());
-    return out;
+  // A two-way cross product probes with operand 0.
+  if (operands.size() == 2 &&
+      operands[0]->schema().CommonWith(operands[1]->schema()).empty()) {
+    probe = 0;
   }
-
-  const bool build_right =
-      side == BuildSide::kRight ||
-      (side == BuildSide::kLarger && right.size() >= left.size());
-  const Relation& build = build_right ? right : left;
-  const Relation& probe = build_right ? left : right;
-  DWC_ASSIGN_OR_RETURN(std::vector<size_t> probe_key,
-                       probe.schema().IndicesOf(join_attrs));
-  const Relation::Index& index = build.GetIndex(join_attrs);
-  // Key/foreign-key joins emit about one output row per probe row.
-  out.Reserve(probe.size());
-  for (const Tuple& pt : probe.tuples()) {
-    DWC_RETURN_IF_ERROR(meter.Next());
-    auto bucket = index.find(ProjectedRef(pt, probe_key));
-    if (bucket == index.end()) {
+  // One step per operand other than the probe, in operand order. A step's
+  // key is the attributes its operand shares with the operands already
+  // walked, in output column order; each key value is read from the first
+  // walked operand that holds it.
+  struct Step {
+    size_t op;
+    const Relation::Index* index = nullptr;  // Null for a cross product.
+    std::vector<std::pair<size_t, size_t>> key;  // (operand, column).
+  };
+  std::vector<Step> steps;
+  std::vector<size_t> walked = {probe};
+  for (size_t op = 0; op < operands.size(); ++op) {
+    if (op == probe) {
       continue;
     }
-    for (const Tuple* bt : bucket->second) {
-      out.Insert(ConcatMatch(pt, *bt, build_right, right_extra));
+    Step step;
+    step.op = op;
+    for (const Attribute& attr : out_attrs) {
+      if (!operands[op]->schema().Contains(attr.name)) {
+        continue;
+      }
+      for (size_t from : walked) {
+        std::optional<size_t> col = operands[from]->schema().IndexOf(attr.name);
+        if (col.has_value()) {
+          step.key.emplace_back(from, *col);
+          break;
+        }
+      }
     }
+    walked.push_back(op);
+    steps.push_back(std::move(step));
+  }
+  bool cross = false;
+  size_t reserve = operands[probe]->size();
+  for (Step& step : steps) {
+    if (step.key.empty()) {
+      cross = true;
+      const size_t n = operands[step.op]->size();
+      reserve = n != 0 && reserve > SIZE_MAX / n ? SIZE_MAX : reserve * n;
+      continue;
+    }
+    std::vector<std::string> attrs;
+    attrs.reserve(step.key.size());
+    for (const auto& [from, col] : step.key) {
+      attrs.push_back(operands[from]->schema().attribute(col).name);
+    }
+    step.index = &operands[step.op]->GetIndex(attrs);
+  }
+  // Key/foreign-key joins emit about one output row per probe row. A cross
+  // product reserves no more than the remaining tuple budget, so that a
+  // governed query fails mid-product instead of after |L|x|R| work.
+  if (cross && options_.cancel != nullptr) {
+    reserve = std::min(reserve, options_.cancel->RemainingBudget());
+  }
+  out.Reserve(reserve);
+
+  RowMeter meter(options_.cancel, out);
+  std::vector<const Tuple*> row(operands.size(), nullptr);
+  std::vector<std::vector<const Value*>> keys(steps.size());
+  for (size_t s = 0; s < steps.size(); ++s) {
+    keys[s].resize(steps[s].key.size());
+  }
+  // Depth-first over the steps: `row` holds the tuples matched so far.
+  auto walk = [&](auto& self, size_t s) -> Status {
+    if (s == steps.size()) {
+      if (cross) {
+        DWC_RETURN_IF_ERROR(meter.Next());
+      }
+      std::vector<Value> values;
+      values.reserve(out_attrs.size());
+      for (size_t c = 0; c < out_attrs.size(); ++c) {
+        values.push_back(row[source_op[c]]->at(source_col[c]));
+      }
+      out.Insert(Tuple(std::move(values)));
+      return Status::Ok();
+    }
+    const Step& step = steps[s];
+    if (step.index == nullptr) {
+      for (const Tuple& tuple : operands[step.op]->tuples()) {
+        row[step.op] = &tuple;
+        DWC_RETURN_IF_ERROR(self(self, s + 1));
+      }
+      return Status::Ok();
+    }
+    for (size_t k = 0; k < step.key.size(); ++k) {
+      keys[s][k] = &row[step.key[k].first]->at(step.key[k].second);
+    }
+    auto bucket = step.index->find(ValuesRef(keys[s]));
+    if (bucket == step.index->end()) {
+      return Status::Ok();
+    }
+    for (const Tuple* tuple : bucket->second) {
+      row[step.op] = tuple;
+      DWC_RETURN_IF_ERROR(self(self, s + 1));
+    }
+    return Status::Ok();
+  };
+  for (const Tuple& tuple : operands[probe]->tuples()) {
+    DWC_RETURN_IF_ERROR(meter.Next());
+    row[probe] = &tuple;
+    DWC_RETURN_IF_ERROR(walk(walk, 0));
   }
   DWC_RETURN_IF_ERROR(meter.Finish());
   return out;
@@ -679,10 +734,8 @@ Result<Evaluator::EvalOut> Evaluator::EvalNode(const Expr& expr,
 Result<Evaluator::EvalOut> Evaluator::EvalDifference(const Expr& expr,
                                                      const KeyFilter* filter) {
   // A pushed filter restricts both sides alike. Only a difference evaluated
-  // whole is counted, and may push a filter of its own into the right side.
-  if (filter == nullptr) {
-    ++stats_.differences;
-  }
+  // whole may push a filter of its own into the right side.
+  ++stats_.differences;
   DWC_ASSIGN_OR_RETURN(EvalOut left, EvalInternal(*expr.left(), filter));
 
   // If the left side is small relative to the right, restrict the right
@@ -712,6 +765,7 @@ Result<Evaluator::EvalOut> Evaluator::EvalDifference(const Expr& expr,
 
 Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr,
                                                const KeyFilter* filter) {
+  ++stats_.joins;
   if (filter != nullptr) {
     // Push the filter attributes each child exposes into that child (an
     // over-approximation per child), join the small results, then apply
@@ -746,8 +800,10 @@ Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr,
     };
     DWC_ASSIGN_OR_RETURN(EvalOut left, eval_child(*expr.left()));
     DWC_ASSIGN_OR_RETURN(EvalOut right, eval_child(*expr.right()));
-    DWC_ASSIGN_OR_RETURN(Relation joined, HashJoin(*left.rel, *right.rel,
-                                                   BuildSide::kLarger));
+    // Index the larger side.
+    const size_t probe = right.rel->size() >= left.rel->size() ? 0 : 1;
+    DWC_ASSIGN_OR_RETURN(Relation joined,
+                         JoinChain({left.rel.get(), right.rel.get()}, probe));
     DWC_ASSIGN_OR_RETURN(std::vector<size_t> key_idx,
                          joined.schema().IndicesOf(filter->attrs));
     Relation out(joined.schema());
@@ -761,7 +817,31 @@ Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr,
     return EvalOut{Own(std::move(out)), false};
   }
 
-  ++stats_.joins;
+  if (!options_.enable_pushdown && expr.left()->kind() == Expr::Kind::kJoin) {
+    // A left-deep chain evaluated whole, as Load does: one probe of the
+    // leftmost operand through the others' indexes, with no intermediate
+    // relation. Its inner joins are counted but never cached.
+    std::vector<const Expr*> spine;
+    const Expr* node = &expr;
+    for (; node->kind() == Expr::Kind::kJoin; node = node->left().get()) {
+      spine.push_back(node->right().get());
+    }
+    spine.push_back(node);
+    std::reverse(spine.begin(), spine.end());
+    stats_.joins += spine.size() - 2;
+    std::vector<EvalOut> evaluated;
+    std::vector<const Relation*> operands;
+    evaluated.reserve(spine.size());
+    operands.reserve(spine.size());
+    for (const Expr* operand : spine) {
+      DWC_ASSIGN_OR_RETURN(EvalOut out, EvalInternal(*operand));
+      operands.push_back(out.rel.get());
+      evaluated.push_back(std::move(out));
+    }
+    DWC_ASSIGN_OR_RETURN(Relation out, JoinChain(operands, 0));
+    return EvalOut{Own(std::move(out)), false};
+  }
+
   // Evaluate the smaller-looking side first; if it is genuinely small,
   // evaluate the other side with the join keys pushed down as a filter.
   size_t left_estimate = EstimateSize(*expr.left());
@@ -804,12 +884,13 @@ Result<Evaluator::EvalOut> Evaluator::EvalJoin(const Expr& expr,
   const EvalOut& left = first_is_left ? first : second;
   const EvalOut& right = first_is_left ? second : first;
   // Index the stable side when exactly one side is stable (its index cache
-  // persists across refreshes); otherwise HashJoin picks the larger side.
-  BuildSide side = BuildSide::kLarger;
-  if (left.stable != right.stable) {
-    side = right.stable ? BuildSide::kRight : BuildSide::kLeft;
-  }
-  DWC_ASSIGN_OR_RETURN(Relation out, HashJoin(*left.rel, *right.rel, side));
+  // persists across refreshes); otherwise the larger side.
+  const bool build_right = left.stable != right.stable
+                               ? right.stable
+                               : right.rel->size() >= left.rel->size();
+  DWC_ASSIGN_OR_RETURN(
+      Relation out,
+      JoinChain({left.rel.get(), right.rel.get()}, build_right ? 0 : 1));
   return EvalOut{Own(std::move(out)), false};
 }
 

@@ -20,12 +20,15 @@ namespace dwc {
 // cheap. Natural joins are hash joins; when one operand is a bound
 // (persistent) relation, the hash index is built — and cached — on that side
 // and the computed side streams through it, which gives delta-maintenance
-// expressions their O(|delta|) behaviour after the first refresh.
+// expressions their O(|delta|) behaviour after the first refresh. With
+// pushdown off, a left-deep chain of joins is one pass: its leftmost operand
+// probes the others' indexes in turn, and no intermediate join is built.
 struct EvaluatorOptions {
   // Disables the semijoin/difference pushdown fast paths (plain bottom-up
-  // evaluation). Warehouse::MaterializeFrom turns it off: it evaluates
-  // each view once over full inputs, where pushing keys into a join that
-  // matches nearly all of them costs more than it saves. Also used by the
+  // evaluation, with left-deep join chains joined in one pass).
+  // Warehouse::MaterializeFrom turns it off: it evaluates each view once
+  // over full inputs, where pushing keys into a join that matches nearly
+  // all of them costs more than it saves. Also used by the
   // ablation benchmark (bench/bench_pushdown_ablation.cc) and for
   // debugging.
   // The thresholds that decide when pushdown pays are constants in
@@ -57,10 +60,12 @@ struct EvaluatorOptions {
 // Execution counters, EXPLAIN-style: how an evaluation did its work.
 // Retrieved via Evaluator::stats() after one or more evaluations.
 struct EvalStats {
-  // Join nodes evaluated, and how many took the pushdown fast path.
+  // Join nodes evaluated (every node: under a pushed filter, and each
+  // inner join of a chain too), and how many took the pushdown fast path.
   size_t joins = 0;
   size_t pushdown_joins = 0;
-  // Difference nodes evaluated / taking the restricted-right fast path.
+  // Difference nodes evaluated (under a pushed filter too) / taking the
+  // restricted-right fast path.
   size_t differences = 0;
   size_t pushdown_differences = 0;
   // Index key lookups performed against base relations by pushed filters.
@@ -136,9 +141,6 @@ class Evaluator {
     const Relation::TupleSet* keys = nullptr;
   };
 
-  // Which side of a hash join the index is built on.
-  enum class BuildSide { kLeft, kRight, kLarger };
-
   // Memo wrapper: consults the subplan cache (when wired) before delegating
   // to EvalNode, and stores fresh exact results afterwards. Every recursive
   // evaluation funnels through here, so sharing applies at all levels of
@@ -165,8 +167,8 @@ class Evaluator {
 
   // Kernels. Each row loop is a cancellation point (see RowMeter in
   // evaluator.cc).
-  Result<Relation> HashJoin(const Relation& left, const Relation& right,
-                            BuildSide side);
+  Result<Relation> JoinChain(const std::vector<const Relation*>& operands,
+                             size_t probe);
   Result<Relation> ProbeBase(const Relation& rel, const KeyFilter& filter,
                              const Predicate* predicate);
   Status FilterInto(const Relation& in, const Predicate& predicate,

@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "util/string_util.h"
 
@@ -86,12 +88,41 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
         }
         advance(1);
       }
+      // An exponent, e[+-]digits, makes a double; an 'e' without digits
+      // after it is left for the next token.
+      if (i < input.size() && (input[i] == 'e' || input[i] == 'E')) {
+        size_t digits = i + 1;
+        if (digits < input.size() &&
+            (input[digits] == '+' || input[digits] == '-')) {
+          ++digits;
+        }
+        if (digits < input.size() &&
+            std::isdigit(static_cast<unsigned char>(input[digits]))) {
+          advance(digits - i);
+          while (i < input.size() &&
+                 std::isdigit(static_cast<unsigned char>(input[i]))) {
+            advance(1);
+          }
+          is_double = true;
+        }
+      }
       std::string text(input.substr(start, i - start));
+      const char* first = text.data();
+      const char* last = first + text.size();
+      std::from_chars_result parsed;
       if (is_double) {
         token.kind = TokenKind::kDouble;
-        token.double_value = std::stod(text);
+        parsed = std::from_chars(first, last, token.double_value);
       } else {
-        token.int_value = std::stoll(text);
+        parsed = std::from_chars(first, last, token.int_value);
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::InvalidArgument(
+            StrCat(parsed.ec == std::errc::result_out_of_range
+                       ? "numeric literal out of range"
+                       : "malformed number",
+                   " '", text, "' at line ", token.line, ", column ",
+                   token.column));
       }
       token.text = std::move(text);
       tokens.push_back(std::move(token));

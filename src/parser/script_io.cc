@@ -1,5 +1,7 @@
 #include "parser/script_io.h"
 
+#include <algorithm>
+
 #include "util/checksum.h"
 #include "util/string_util.h"
 
@@ -15,12 +17,28 @@ std::string SchemaAttrsToScript(const Schema& schema) {
   return Join(parts, ", ");
 }
 
-std::string TupleRowsToScript(const Relation& rel) {
-  std::vector<std::string> rows;
-  for (const Tuple& tuple : rel.SortedTuples()) {
-    rows.push_back(StrCat("(", Join(tuple.values(), ", "), ")"));
+// Appends `rel`'s rows as "(v1, v2), (v3, v4)" in deterministic (sorted)
+// order: the one row writer behind checkpoints and WAL records. It sorts
+// pointers, not tuple copies, and appends each value in place.
+void AppendRows(const Relation& rel, std::string* out) {
+  std::vector<const Tuple*> rows;
+  rows.reserve(rel.size());
+  for (const Tuple& tuple : rel.tuples()) {
+    rows.push_back(&tuple);
   }
-  return Join(rows, ", ");
+  std::sort(rows.begin(), rows.end(),
+            [](const Tuple* a, const Tuple* b) { return *a < *b; });
+  for (size_t r = 0; r < rows.size(); ++r) {
+    *out += r == 0 ? "(" : ", (";
+    const std::vector<Value>& values = rows[r]->values();
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i != 0) {
+        *out += ", ";
+      }
+      values[i].AppendTo(out);
+    }
+    *out += ')';
+  }
 }
 
 }  // namespace
@@ -82,11 +100,11 @@ std::string DatabaseToScript(const Database& db) {
     if (rel->empty()) {
       continue;
     }
-    std::vector<std::string> rows;
-    for (const Tuple& tuple : rel->SortedTuples()) {
-      rows.push_back(StrCat("(", Join(tuple.values(), ", "), ")"));
-    }
-    out += StrCat("INSERT INTO ", name, " VALUES ", Join(rows, ", "), ";\n");
+    out += "INSERT INTO ";
+    out += name;
+    out += " VALUES ";
+    AppendRows(*rel, &out);
+    out += ";\n";
   }
   return out;
 }
@@ -124,10 +142,12 @@ std::string DeltaToScript(const CanonicalDelta& delta) {
              "' EPOCH ", delta.epoch, " SEQ ", delta.sequence, " STATE '",
              DigestToHex(delta.state_digest), "'");
   if (!delta.inserts.empty()) {
-    out += StrCat(" INSERT ", TupleRowsToScript(delta.inserts));
+    out += " INSERT ";
+    AppendRows(delta.inserts, &out);
   }
   if (!delta.deletes.empty()) {
-    out += StrCat(" DELETE ", TupleRowsToScript(delta.deletes));
+    out += " DELETE ";
+    AppendRows(delta.deletes, &out);
   }
   return out + ";\n";
 }

@@ -7,11 +7,8 @@ namespace dwc {
 bool Tuple::operator<(const Tuple& other) const {
   size_t n = std::min(values_.size(), other.values_.size());
   for (size_t i = 0; i < n; ++i) {
-    if (values_[i] < other.values_[i]) {
-      return true;
-    }
-    if (other.values_[i] < values_[i]) {
-      return false;
+    if (int order = values_[i].Compare(other.values_[i]); order != 0) {
+      return order < 0;
     }
   }
   return values_.size() < other.values_.size();

@@ -53,6 +53,7 @@ class Tuple {
   static constexpr size_t kEmptyHash = 0x7A9E;
 
   friend class ProjectedRef;
+  friend class ValuesRef;
   // For ProjectedRef::ToTuple, which has the hash already.
   Tuple(std::vector<Value> values, size_t hash)
       : values_(std::move(values)), hash_(hash) {}
@@ -113,11 +114,47 @@ inline Tuple Tuple::Project(const std::vector<size_t>& indices) const {
   return ProjectedRef(*this, indices).ToTuple();
 }
 
-// Transparent: hash containers keyed by Tuple accept a ProjectedRef probe.
+// A key whose values are borrowed one by one, possibly from several tuples:
+// it hashes and compares exactly as the Tuple of those values would. The
+// join kernel probes with it for a key spread over the tuples matched so
+// far. Borrows `values` and what it points at.
+class ValuesRef {
+ public:
+  explicit ValuesRef(const std::vector<const Value*>& values)
+      : values_(&values) {
+    size_t h = Tuple::kEmptyHash;
+    for (const Value* value : values) {
+      h = HashCombine(h, value->Hash());
+    }
+    hash_ = h;
+  }
+
+  size_t Hash() const { return hash_; }
+
+  bool operator==(const Tuple& other) const {
+    if (other.size() != values_->size()) {
+      return false;
+    }
+    for (size_t i = 0; i < other.size(); ++i) {
+      if (*(*values_)[i] != other.at(i)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  const std::vector<const Value*>* values_;
+  size_t hash_;
+};
+
+// Transparent: hash containers keyed by Tuple accept a ProjectedRef or a
+// ValuesRef probe.
 struct TupleHash {
   using is_transparent = void;
   size_t operator()(const Tuple& t) const { return t.Hash(); }
   size_t operator()(const ProjectedRef& r) const { return r.Hash(); }
+  size_t operator()(const ValuesRef& r) const { return r.Hash(); }
 };
 
 struct TupleEq {
@@ -129,6 +166,8 @@ struct TupleEq {
   bool operator()(const Tuple& a, const ProjectedRef& b) const {
     return b == a;
   }
+  bool operator()(const ValuesRef& a, const Tuple& b) const { return a == b; }
+  bool operator()(const Tuple& a, const ValuesRef& b) const { return b == a; }
 };
 
 }  // namespace dwc

@@ -1,7 +1,9 @@
 #include "relational/value.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <functional>
-#include <sstream>
 
 #include "util/hash.h"
 
@@ -36,25 +38,28 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
-bool Value::operator<(const Value& other) const {
+int Value::Compare(const Value& other) const {
   ValueType a = type();
   ValueType b = other.type();
+  if (a == ValueType::kInt && b == ValueType::kInt) {
+    const int64_t x = AsInt();
+    const int64_t y = other.AsInt();
+    return (x > y) - (x < y);
+  }
   bool a_num = a == ValueType::kInt || a == ValueType::kDouble;
   bool b_num = b == ValueType::kInt || b == ValueType::kDouble;
   if (a_num && b_num) {
-    return AsNumber() < other.AsNumber();
+    const double x = AsNumber();
+    const double y = other.AsNumber();
+    return (x > y) - (x < y);
   }
   if (a != b) {
-    return static_cast<int>(a) < static_cast<int>(b);
+    return static_cast<int>(a) < static_cast<int>(b) ? -1 : 1;
   }
-  switch (a) {
-    case ValueType::kNull:
-      return false;
-    case ValueType::kString:
-      return AsString() < other.AsString();
-    default:
-      return false;  // Unreachable: numeric cases handled above.
+  if (a == ValueType::kString) {
+    return AsString().compare(other.AsString());
   }
+  return 0;  // NULL equals NULL.
 }
 
 size_t Value::Hash() const {
@@ -74,30 +79,52 @@ size_t Value::Hash() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
   switch (type()) {
     case ValueType::kNull:
-      return "NULL";
-    case ValueType::kInt:
-      return std::to_string(AsInt());
+      *out += "NULL";
+      return;
+    case ValueType::kInt: {
+      char buf[24];
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), AsInt());
+      (void)ec;  // 24 bytes hold any int64_t.
+      out->append(buf, end);
+      return;
+    }
     case ValueType::kDouble: {
-      std::ostringstream out;
-      out << AsDouble();
-      return out.str();
+      // Shortest round-trip form; one that reads as an integer gets ".0".
+      char buf[32];
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), AsDouble());
+      (void)ec;  // 32 bytes hold any double's shortest form.
+      out->append(buf, end);
+      if (std::isfinite(AsDouble()) &&
+          std::find_if(buf, end, [](char c) { return c == '.' || c == 'e'; }) ==
+              end) {
+        *out += ".0";
+      }
+      return;
     }
     case ValueType::kString: {
-      std::string out = "'";
-      for (char c : AsString()) {
-        if (c == '\'') {
-          out += "''";
-        } else {
-          out += c;
-        }
+      const std::string& text = AsString();
+      *out += '\'';
+      size_t from = 0;
+      for (size_t quote = text.find('\''); quote != std::string::npos;
+           quote = text.find('\'', quote + 1)) {
+        out->append(text, from, quote + 1 - from);
+        *out += '\'';
+        from = quote + 1;
       }
-      out += "'";
-      return out;
+      out->append(text, from, std::string::npos);
+      *out += '\'';
+      return;
     }
   }
-  return "?";
+  *out += '?';
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& value) {

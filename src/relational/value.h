@@ -65,15 +65,26 @@ class Value {
 
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
-  bool operator<(const Value& other) const;
+  bool operator<(const Value& other) const { return Compare(other) < 0; }
   bool operator<=(const Value& other) const { return !(other < *this); }
   bool operator>(const Value& other) const { return other < *this; }
   bool operator>=(const Value& other) const { return !(*this < other); }
 
+  // Three-way comparison in the order above: negative, zero or positive
+  // as this value sorts before, with or after `other`. Two INTs compare
+  // exactly; other numeric pairs compare as doubles.
+  int Compare(const Value& other) const;
+
   size_t Hash() const;
 
-  // Round-trippable rendering: strings quoted, NULL spelled "NULL".
+  // Round-trippable rendering: strings quoted, NULL spelled "NULL", and a
+  // double as the shortest text that reads back as the same double, always
+  // with a '.' or an exponent so that it reads back as a DOUBLE ("3.0",
+  // "0.1", "1e-05"). Infinities and NaN print as "inf"/"nan", which the DSL
+  // cannot read.
   std::string ToString() const;
+  // Appends ToString()'s text to `out` without building a string.
+  void AppendTo(std::string* out) const;
 
  private:
   std::variant<std::monostate, int64_t, double, std::string> data_;

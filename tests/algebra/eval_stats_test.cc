@@ -57,6 +57,21 @@ TEST_F(EvalStatsTest, DisabledPushdownReportsPlainJoins) {
   EXPECT_EQ(evaluator.stats().index_probes, 0u);
 }
 
+TEST_F(EvalStatsTest, EveryJoinOfAChainCounts) {
+  Result<ExprRef> expr = ParseExpr("Tiny join Big join Tiny join Big");
+  DWC_ASSERT_OK(expr);
+  for (bool pushdown : {true, false}) {
+    SCOPED_TRACE(pushdown);
+    EvaluatorOptions options;
+    options.enable_pushdown = pushdown;
+    Evaluator evaluator(&env_, options);
+    Result<Relation> out = evaluator.Materialize(**expr);
+    DWC_ASSERT_OK(out);
+    EXPECT_EQ(out->size(), 2u);
+    EXPECT_EQ(evaluator.stats().joins, 3u);
+  }
+}
+
 TEST_F(EvalStatsTest, DifferencePushdownCounted) {
   Relation small(big_.schema());
   small.Insert(T({I(3), I(9)}));

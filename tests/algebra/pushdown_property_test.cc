@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "algebra/evaluator.h"
@@ -19,6 +20,7 @@
 #include "testing/reference_eval.h"
 #include "testing/test_util.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "workload/random_db.h"
 #include "workload/random_views.h"
 
@@ -143,6 +145,95 @@ TEST_P(PushdownPropertyTest, EverySettingMatchesReferenceColumnOrder) {
       }
     }
     EXPECT_TRUE(never_fires.Check().ok());
+  }
+}
+
+// Random left-deep chains of 2 to 5 natural joins answer as the reference
+// does, in content and column order, with pushdown on (binary joins, each
+// making its own pushdown decision) and off (the leftmost operand probes
+// the others' indexes in one pass). Each operand after the first shares at
+// least one column with those before it and may bring new ones; one chain
+// in four has a step that shares none (a cross product), one in four an
+// empty operand. Operands are bound relations or computed projections of
+// them, so every probe-side rule is exercised. Every join node is counted.
+TEST_P(PushdownPropertyTest, RandomJoinChainsMatchReference) {
+  Rng rng(GetParam());
+  const std::vector<std::string> pool = {"a", "b", "c", "d", "e",
+                                         "f", "g", "h", "i", "j"};
+  auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng.Below(from.size())];
+  };
+  for (int round = 0; round < 24; ++round) {
+    const size_t n = 2 + rng.Below(4);
+    const size_t cross_at = round % 4 == 0 ? 1 + rng.Below(std::min<size_t>(
+                                                     2, n - 1))
+                                           : n;
+    const size_t empty_at = round % 4 == 1 ? rng.Below(n) : n;
+    Database db;
+    std::vector<std::string> seen;
+    ExprRef chain;
+    for (size_t op = 0; op < n; ++op) {
+      std::vector<std::string> unseen;
+      for (const std::string& name : pool) {
+        if (std::find(seen.begin(), seen.end(), name) == seen.end()) {
+          unseen.push_back(name);
+        }
+      }
+      std::vector<std::string> attrs;
+      if (op > 0) {
+        attrs.push_back(pick(op == cross_at ? unseen : seen));
+      }
+      const size_t extras = attrs.empty() ? 1 + rng.Below(2) : rng.Below(3);
+      for (size_t extra = 0; extra < extras; ++extra) {
+        std::string name = pick(op == cross_at ? unseen : pool);
+        if (std::find(attrs.begin(), attrs.end(), name) == attrs.end()) {
+          attrs.push_back(name);
+        }
+      }
+      std::vector<Attribute> schema_attrs;
+      for (const std::string& name : attrs) {
+        schema_attrs.push_back({name, ValueType::kInt});
+        if (std::find(seen.begin(), seen.end(), name) == seen.end()) {
+          seen.push_back(name);
+        }
+      }
+      Relation rel{Schema(schema_attrs)};
+      const size_t rows = op == empty_at ? 0 : 1 + rng.Below(8);
+      for (size_t r = 0; r < rows; ++r) {
+        std::vector<Value> values;
+        for (size_t c = 0; c < attrs.size(); ++c) {
+          values.push_back(Value::Int(static_cast<int64_t>(rng.Below(4))));
+        }
+        rel.Insert(Tuple(std::move(values)));
+      }
+      const std::string name = StrCat("R", op);
+      DWC_ASSERT_OK(db.AddRelation(name, std::move(rel)));
+      ExprRef operand = Expr::Base(name);
+      if (rng.Below(3) == 0) {
+        operand = Expr::Project(attrs, operand);
+      }
+      chain = op == 0 ? operand : Expr::Join(chain, operand);
+    }
+    SCOPED_TRACE(chain->ToString());
+    Environment env = Environment::FromDatabase(db);
+    Result<Relation> reference = ReferenceEval(*chain, env);
+    DWC_ASSERT_OK(reference);
+    if (round % 4 == 1) {
+      EXPECT_TRUE(reference->empty());
+    }
+    for (bool pushdown : {true, false}) {
+      SCOPED_TRACE(pushdown ? "pushdown on" : "pushdown off");
+      EvaluatorOptions options;
+      options.enable_pushdown = pushdown;
+      Evaluator evaluator(&env, options);
+      Result<Relation> out = evaluator.Materialize(*chain);
+      DWC_ASSERT_OK(out);
+      EXPECT_TRUE(out->schema() == reference->schema())
+          << out->schema().ToString() << " vs "
+          << reference->schema().ToString();
+      EXPECT_TRUE(testing::RelationsEqual(*out, *reference));
+      EXPECT_EQ(evaluator.stats().joins, n - 1);
+    }
   }
 }
 
@@ -337,11 +428,15 @@ INSERT INTO Probe VALUES (1, 100), (2, 999);
   Environment env = Environment::FromDatabase(context.db);
   Result<ExprRef> expr = ParseExpr("Probe join (L join R2)");
   DWC_ASSERT_OK(expr);
-  Result<Relation> out = EvalExpr(**expr, env);
+  Evaluator evaluator(&env);
+  Result<Relation> out = evaluator.Materialize(**expr);
   DWC_ASSERT_OK(out);
   Result<Relation> reference = ReferenceEval(**expr, env);
   DWC_ASSERT_OK(reference);
   EXPECT_TRUE(testing::RelationsEqual(*out, *reference));
+  // Both join nodes count, the one evaluated under the pushed filter too.
+  EXPECT_EQ(evaluator.stats().joins, 2u);
+  EXPECT_EQ(evaluator.stats().pushdown_joins, 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "parser/interpreter.h"
 #include "testing/test_util.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace dwc {
 namespace {
@@ -82,6 +83,29 @@ TEST(ParserFuzzTest, TokenDeletionsFailCleanlyOrParse) {
     if (parsed.ok()) {
       (void)RunScript(input);
     }
+  }
+}
+
+// Numeric literals built from digits, signs, dots and exponents — out of
+// range, malformed, or fine — lex and run to a Status, never an exception.
+TEST(ParserFuzzTest, NumericLiteralsFailCleanly) {
+  const char* seeds[] = {"99999999999999999999", "-99999999999999999999",
+                         "1e999", "-1e999", "1e-999", "1e", "1e+", "2.5e-",
+                         "1.", "0.000", "9223372036854775808"};
+  for (const char* seed : seeds) {
+    (void)RunScript(StrCat("CREATE TABLE R(a DOUBLE); INSERT INTO R VALUES (",
+                           seed, ");"));
+  }
+  Rng rng(4711);
+  const char alphabet[] = "0123456789.eE+-";
+  for (int round = 0; round < 500; ++round) {
+    std::string literal = "1";
+    size_t n = rng.Below(40);
+    for (size_t i = 0; i < n; ++i) {
+      literal += alphabet[rng.Below(sizeof(alphabet) - 1)];
+    }
+    (void)RunScript(StrCat("CREATE TABLE R(a DOUBLE); INSERT INTO R VALUES (",
+                           literal, ");"));
   }
 }
 

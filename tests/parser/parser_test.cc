@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "parser/interpreter.h"
 #include "parser/lexer.h"
 #include "testing/test_util.h"
 
@@ -41,6 +44,42 @@ TEST(LexerTest, CommentsAndPositions) {
   EXPECT_EQ((*tokens)[1].text, "b");
   EXPECT_EQ((*tokens)[1].line, 2u);
   EXPECT_EQ((*tokens)[1].column, 3u);
+}
+
+TEST(LexerTest, Exponents) {
+  Result<std::vector<Token>> tokens = Tokenize("1e5 2.5E-3 -1e+2 7e x");
+  DWC_ASSERT_OK(tokens);
+  ASSERT_EQ(tokens->size(), 7u);
+  EXPECT_EQ((*tokens)[0].kind, TokenKind::kDouble);
+  EXPECT_EQ((*tokens)[0].double_value, 1e5);
+  EXPECT_EQ((*tokens)[1].kind, TokenKind::kDouble);
+  EXPECT_EQ((*tokens)[1].double_value, 2.5e-3);
+  EXPECT_EQ((*tokens)[2].kind, TokenKind::kDouble);
+  EXPECT_EQ((*tokens)[2].double_value, -1e2);
+  // An 'e' with no digits after it is not an exponent.
+  EXPECT_EQ((*tokens)[3].kind, TokenKind::kInt);
+  EXPECT_EQ((*tokens)[3].int_value, 7);
+  EXPECT_EQ((*tokens)[4].text, "e");
+}
+
+// A literal that does not fit its type is an error with its position, not
+// an exception.
+TEST(LexerTest, OutOfRangeLiteralsAreErrors) {
+  Result<std::vector<Token>> tokens = Tokenize("a\n  99999999999999999999");
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tokens.status().message().find("line 2, column 3"),
+            std::string::npos)
+      << tokens.status().ToString();
+  EXPECT_FALSE(Tokenize("-99999999999999999999").ok());
+  EXPECT_FALSE(Tokenize("1e999").ok());
+  Result<std::vector<Token>> lowest = Tokenize("-9223372036854775808");
+  DWC_ASSERT_OK(lowest);
+  EXPECT_EQ((*lowest)[0].int_value, INT64_MIN);
+  Result<ScriptContext> run = RunScript(
+      "CREATE TABLE R(a INT);\nINSERT INTO R VALUES (99999999999999999999);");
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LexerTest, Errors) {

@@ -17,6 +17,8 @@
 
 #include "algebra/environment.h"
 #include "algebra/evaluator.h"
+#include "algebra/interner.h"
+#include "algebra/subplan_cache.h"
 #include "core/warehouse_spec.h"
 #include "runtime/cancel.h"
 #include "testing/property_util.h"
@@ -63,6 +65,8 @@ TEST_P(CancellationHygienePropertyTest, FailedQueriesLeaveNoTrace) {
   std::shared_ptr<Catalog> catalog = MakeCatalog(GetParam());
   std::vector<std::string> relations = catalog->RelationNames();
 
+  // Round 2 evaluates with pushdown off, so its left-deep join chains are
+  // joined in one pass and a token can fire in the middle of one.
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE(StrCat("round ", round));
     Rng rng(9100 + 53 * static_cast<uint64_t>(GetParam()) +
@@ -81,6 +85,7 @@ TEST_P(CancellationHygienePropertyTest, FailedQueriesLeaveNoTrace) {
     // Cache on: a poisoned entry would surface in the re-run check below.
     EvaluatorOptions options;
     options.cache_budget_tuples = 1 << 16;
+    options.enable_pushdown = round != 2;
     warehouse->SetEvaluatorOptions(options);
 
     for (int step = 0; step < 12; ++step) {
@@ -155,6 +160,68 @@ TEST_P(CancellationHygienePropertyTest, FailedQueriesLeaveNoTrace) {
     }
     DWC_ASSERT_OK(CheckConsistency(*warehouse, source.db()));
   }
+}
+
+// A chain joined in one pass (pushdown off) that outgrows its tuple budget
+// or outlives its deadline fails with that code in the middle of the walk,
+// returns no rows, and stores nothing in the subplan cache: the same chain
+// re-run unbounded gives the whole answer.
+TEST(CancellationHygieneChainTest, MidChainFailureLeavesNoResult) {
+  Schema a_schema({{"a", ValueType::kInt}, {"x", ValueType::kInt}});
+  Schema b_schema({{"a", ValueType::kInt}, {"y", ValueType::kInt}});
+  Schema c_schema({{"z", ValueType::kInt}});
+  Relation a(a_schema);
+  Relation b(b_schema);
+  Relation c(c_schema);
+  for (int64_t i = 0; i < 200; ++i) {
+    a.Insert(Tuple({Value::Int(i % 50), Value::Int(i)}));
+  }
+  for (int64_t i = 0; i < 50; ++i) {
+    b.Insert(Tuple({Value::Int(i), Value::Int(-i)}));
+  }
+  for (int64_t i = 0; i < 500; ++i) {
+    c.Insert(Tuple({Value::Int(i)}));
+  }
+  Environment env;
+  env.Bind("A", &a);
+  env.Bind("B", &b);
+  env.Bind("C", &c);
+  ExprInterner interner;
+  ExprRef chain = interner.Intern(Expr::Join(
+      Expr::Join(Expr::Base("A"), Expr::Base("B")), Expr::Base("C")));
+  SubplanCache cache;
+  cache.set_budget(1 << 20);
+  EvaluatorOptions options;
+  options.enable_pushdown = false;
+  options.cache_budget_tuples = 1 << 20;
+
+  {
+    auto token = CancelToken::WithBudget(5000);
+    options.cancel = token.get();
+    Evaluator evaluator(&env, options, &interner, &cache);
+    Result<Relation> out = evaluator.Materialize(*chain);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+    // The operands are bound relations, which charge nothing: the charged
+    // rows are the chain's own, so it failed mid-walk.
+    EXPECT_GT(token->charged_tuples(), 5000u);
+  }
+  {
+    auto token = CancelToken::WithDeadline(std::chrono::milliseconds(1));
+    options.cancel = token.get();
+    Evaluator evaluator(&env, options, &interner, &cache);
+    Result<Relation> out = evaluator.Materialize(*chain);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(cache.entries(), 0u);
+
+  options.cancel = nullptr;
+  Evaluator evaluator(&env, options, &interner, &cache);
+  Result<Relation> out = evaluator.Materialize(*chain);
+  DWC_ASSERT_OK(out);
+  EXPECT_EQ(out->size(), 200u * 500u);
+  EXPECT_EQ(out->schema().ToString(), "(a INT, x INT, y INT, z INT)");
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, CancellationHygienePropertyTest,

@@ -58,6 +58,17 @@ TEST(ValueTest, ToStringRoundTrippable) {
   EXPECT_EQ(Value::Int(-7).ToString(), "-7");
   EXPECT_EQ(Value::String("it's").ToString(), "'it''s'");
   EXPECT_EQ(Value::Null().ToString(), "NULL");
+  // A double prints as its shortest round-trip text, always in a form
+  // that reads back as a DOUBLE.
+  EXPECT_EQ(Value::Double(3.0).ToString(), "3.0");
+  EXPECT_EQ(Value::Double(-2.5).ToString(), "-2.5");
+  EXPECT_EQ(Value::Double(1.0 / 3).ToString(), "0.3333333333333333");
+  EXPECT_EQ(Value::Double(1234567.5).ToString(), "1234567.5");
+  EXPECT_EQ(Value::Double(1e-5).ToString(), "1e-05");
+  EXPECT_EQ(Value::Double(1e20).ToString(), "1e+20");
+  std::string appended = "x=";
+  Value::String("a'b").AppendTo(&appended);
+  EXPECT_EQ(appended, "x='a''b'");
 }
 
 TEST(ValueTypeTest, Names) {

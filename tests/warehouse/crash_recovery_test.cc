@@ -24,6 +24,7 @@
 namespace dwc {
 namespace {
 
+using ::dwc::testing::D;
 using ::dwc::testing::Figure1Script;
 using ::dwc::testing::I;
 using ::dwc::testing::MustRun;
@@ -268,6 +269,55 @@ TEST_F(CrashRecoveryTest, CheckpointStartsAFreshLog) {
   EXPECT_EQ(recovered->report.records_replayed, 1u);
   EXPECT_TRUE(recovered->restored.warehouse->state().SameStateAs(
       warehouse_->state()));
+}
+
+// DOUBLE values, which the checkpoint and the WAL write as text, read back
+// as the same DOUBLEs: a warehouse recovered from a checkpoint plus a WAL
+// record holding doubles, and from a checkpoint taken after it, has the
+// live warehouse's state digest and reconstructs a DOUBLE column.
+TEST(DoubleRecoveryTest, CheckpointAndWalKeepDoubles) {
+  ScriptContext context = MustRun(
+      "CREATE TABLE M(k INT, x DOUBLE, KEY(k));\n"
+      "INSERT INTO M VALUES (1, 0.5), (2, 2.0);\n"
+      "VIEW V AS project[k](M);\n");
+  auto spec = std::make_shared<WarehouseSpec>(
+      *SpecifyWarehouse(context.catalog, context.views));
+  Source source(context.db, "s1");
+  Result<Warehouse> warehouse = Warehouse::Load(spec, source.db());
+  DWC_ASSERT_OK(warehouse);
+  FaultVfs vfs;
+  Result<std::unique_ptr<DurableWarehouse>> durable =
+      DurableWarehouse::Bootstrap(
+          &vfs, "wh", &*warehouse,
+          JournalStamp{source.epoch(), source.last_sequence()});
+  DWC_ASSERT_OK(durable);
+  UpdateOp op{"M",
+              {T({I(3), D(1.0 / 3)}), T({I(4), D(1234567.5)}),
+               T({I(5), D(3.0)}), T({I(6), D(1e-5)}), T({I(7), D(-2.75)})},
+              {T({I(1), D(0.5)})}};
+  Result<CanonicalDelta> delta = source.Apply(op);
+  DWC_ASSERT_OK(delta);
+  DWC_ASSERT_OK(warehouse->Integrate(*delta));
+  DWC_ASSERT_OK((*durable)->Append(*delta));
+
+  const uint64_t live = StateDigest(warehouse->state()).Combined();
+  for (bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "from a checkpoint" : "from the WAL");
+    if (checkpointed) {
+      DWC_ASSERT_OK((*durable)->Checkpoint());
+    }
+    Result<RecoveredStorage> recovered =
+        RecoveryManager(&vfs, "wh").Recover(/*repair=*/false);
+    DWC_ASSERT_OK(recovered);
+    const Warehouse& restored = *recovered->restored.warehouse;
+    EXPECT_EQ(StateDigest(restored.state()).Combined(), live);
+    Result<Relation> m = restored.ReconstructBase("M");
+    DWC_ASSERT_OK(m);
+    EXPECT_TRUE(testing::RelationsEqual(*m, *source.db().FindRelation("M")));
+    for (const Tuple& tuple : m->tuples()) {
+      EXPECT_EQ(tuple.at(1).type(), ValueType::kDouble) << tuple.ToString();
+    }
+  }
 }
 
 }  // namespace
