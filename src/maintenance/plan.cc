@@ -21,17 +21,6 @@ const DeltaPair* MaintenancePlan::Find(const std::string& warehouse_relation,
   return inner == it->second.end() ? nullptr : &inner->second;
 }
 
-void MaintenancePlan::Canonicalize(ExprInterner* interner) {
-  for (auto& [relation, per_base] : plans_) {
-    (void)relation;
-    for (auto& [base, delta] : per_base) {
-      (void)base;
-      delta.plus = interner->Intern(delta.plus);
-      delta.minus = interner->Intern(delta.minus);
-    }
-  }
-}
-
 std::string MaintenancePlan::ToString() const {
   std::string out;
   for (const auto& [relation, per_base] : plans_) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/interner.h"
 #include "algebra/view.h"
 #include "core/warehouse_spec.h"
 #include "maintenance/delta.h"
@@ -36,14 +35,6 @@ class MaintenancePlan {
       const {
     return plans_;
   }
-
-  // Interns every maintenance expression through `interner`, replacing the
-  // trees with shared canonical nodes. After this, subexpressions repeated
-  // across (warehouse relation, base) entries — and shared with the spec's
-  // view/complement/inverse definitions interned through the same
-  // instance — are pointer-equal, so the evaluator's subplan cache can
-  // recycle their results across refreshes.
-  void Canonicalize(ExprInterner* interner);
 
   // Multi-line listing of all maintenance expressions.
   std::string ToString() const;

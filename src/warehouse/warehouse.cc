@@ -29,16 +29,16 @@ Result<Warehouse> Warehouse::Load(std::shared_ptr<const WarehouseSpec> spec,
   }
   Warehouse warehouse(std::move(spec), strategy);
   if (strategy == MaintenanceStrategy::kIncremental) {
-    DWC_ASSIGN_OR_RETURN(warehouse.plan_,
-                         DeriveMaintenancePlan(*warehouse.spec_));
-    // Cross-expression CSE over the plan: shared structure (each R̂i, the
-    // inverse expressions, repeated delta-semijoins) collapses onto the
-    // spec's canonical DAG, so the subplan cache can recycle results
-    // between maintenance rounds and translated queries.
-    warehouse.plan_.Canonicalize(warehouse.spec_->interner().get());
+    // The single-base keys of the plan table, which every one-delta refresh
+    // reads (DeriveMaintenancePlan's entries).
+    for (const std::string& base :
+         warehouse.spec_->catalog().RelationNames()) {
+      DWC_RETURN_IF_ERROR(warehouse.PlanFor({base}).status());
+    }
   }
   Environment env = Environment::FromDatabase(sources);
-  DWC_RETURN_IF_ERROR(warehouse.MaterializeFrom(env));
+  DWC_ASSIGN_OR_RETURN(warehouse.state_,
+                       warehouse.MaterializeFrom(env, nullptr));
   // Epoch 1: the loaded state. Every later committed transition publishes
   // the next epoch; readers pin whatever is current when they arrive.
   warehouse.epochs_->Publish(warehouse.CurrentVersions());
@@ -48,11 +48,10 @@ Result<Warehouse> Warehouse::Load(std::shared_ptr<const WarehouseSpec> spec,
 void Warehouse::CopyFrom(const Warehouse& other) {
   spec_ = other.spec_;
   strategy_ = other.strategy_;
-  plan_ = other.plan_;
+  plans_ = other.plans_;
   state_ = other.state_;
   aggregates_ = other.aggregates_;
   aggregate_delta_cache_ = other.aggregate_delta_cache_;
-  transaction_plans_ = other.transaction_plans_;
   evaluator_options_ = other.evaluator_options_;
   subplan_cache_ = other.subplan_cache_;
   // An independent epoch timeline: snapshots pinned on the original must
@@ -71,6 +70,19 @@ void Warehouse::CopyFrom(const Warehouse& other) {
   epochs_->Publish(CurrentVersions());
 }
 
+MaintenancePlan Warehouse::plan() const {
+  MaintenancePlan plan;
+  for (const auto& [bases, per_relation] : plans_) {
+    if (bases.size() != 1) {
+      continue;
+    }
+    for (const auto& [relation, pair] : per_relation) {
+      plan.Set(relation, *bases.begin(), pair);
+    }
+  }
+  return plan;
+}
+
 EpochManager::VersionSet Warehouse::CurrentVersions() const {
   EpochManager::VersionSet versions;
   for (const auto& [name, rel] : state_.relations()) {
@@ -87,7 +99,8 @@ void Warehouse::PublishCurrent() {
   TagIntegrateEpoch(epochs_->current_epoch());
 }
 
-Status Warehouse::MaterializeFrom(const Environment& base_env) {
+Result<Database> Warehouse::MaterializeFrom(const Environment& base_env,
+                                            EvalStats* stats) const {
   // Views may be referenced by complement definitions, so bind them as they
   // materialize.
   Environment env = base_env;
@@ -101,6 +114,9 @@ Status Warehouse::MaterializeFrom(const Environment& base_env) {
     Evaluator evaluator(&env, options, spec_->interner().get(),
                         subplan_cache_.get());
     Result<std::shared_ptr<const Relation>> rel = evaluator.Eval(*view.expr);
+    if (stats != nullptr) {
+      stats->MergeFrom(evaluator.stats());
+    }
     if (!rel.ok()) {
       return rel.status();
     }
@@ -112,79 +128,48 @@ Status Warehouse::MaterializeFrom(const Environment& base_env) {
     DWC_RETURN_IF_ERROR(fresh.AddRelation(view.name, (*rel)->DeepCopy()));
     env.Bind(view.name, fresh.FindRelation(view.name));
   }
-  // Whole-map swap: relation objects referenced by published epochs stay
-  // alive through their shared slots, so pinned readers are unaffected.
-  state_ = std::move(fresh);
-  return Status::Ok();
-}
-
-Status Warehouse::BeginIntegration(
-    const std::vector<const CanonicalDelta*>& deltas) {
-  hook_step_ = 0;
-  ResetIntegrateStats();
-  for (const CanonicalDelta* delta : deltas) {
-    if (!spec_->catalog().HasRelation(delta->relation)) {
-      return Status::NotFound(StrCat("delta targets unknown base relation '",
-                                     delta->relation, "'"));
-    }
-    if (!validate_deltas_ || delta->empty() ||
-        spec_->FindInverse(delta->relation) == nullptr) {
-      continue;
-    }
-    // Canonical-form check against the reconstructed base: inserts must be
-    // new, deletes must be present. Rejecting here keeps every later phase
-    // infallible-by-construction on the delta's account.
-    DWC_ASSIGN_OR_RETURN(Relation base, ReconstructBase(delta->relation));
-    DWC_ASSIGN_OR_RETURN(Relation inserts,
-                         delta->inserts.AlignTo(base.schema()));
-    for (const Tuple& tuple : inserts.tuples()) {
-      if (base.Contains(tuple)) {
-        return Status::InvalidArgument(
-            StrCat("non-canonical delta for '", delta->relation,
-                   "': insert ", tuple.ToString(), " is already present"));
-      }
-    }
-    DWC_ASSIGN_OR_RETURN(Relation deletes,
-                         delta->deletes.AlignTo(base.schema()));
-    for (const Tuple& tuple : deletes.tuples()) {
-      if (!base.Contains(tuple)) {
-        return Status::InvalidArgument(
-            StrCat("non-canonical delta for '", delta->relation,
-                   "': delete ", tuple.ToString(), " is not present"));
-      }
-    }
-  }
-  return Status::Ok();
+  return fresh;
 }
 
 Status Warehouse::Integrate(const CanonicalDelta& delta,
                             const Source* source) {
-  DWC_RETURN_IF_ERROR(BeginIntegration({&delta}));
-  Status status = Status::Internal("unknown strategy");
-  switch (strategy_) {
-    case MaintenanceStrategy::kIncremental:
-      status = IntegrateIncremental(delta);
-      break;
-    case MaintenanceStrategy::kRecomputeFromInverse:
-      status = IntegrateRecompute({&delta});
-      break;
-    case MaintenanceStrategy::kQuerySource:
-      if (source == nullptr) {
-        return Status::InvalidArgument(
-            "kQuerySource maintenance needs a live Source");
-      }
-      status = IntegrateQuerySource(*source);
-      break;
-  }
-  DWC_RETURN_IF_ERROR(status);
-  return CheckCertificates({&delta});
+  return IntegrateTransaction({delta}, source);
 }
 
 Status Warehouse::IntegrateTransaction(
     const std::vector<CanonicalDelta>& deltas, const Source* source) {
-  std::vector<const CanonicalDelta*> nonempty;
+  hook_step_ = 0;
+  {
+    std::lock_guard<std::mutex> lock(*stats_mu_);
+    last_integrate_stats_ = EvalStats();
+    last_integrate_epoch_ = 0;
+  }
+  // Argument checks, before any work. An empty side may carry no schema (a
+  // default-constructed Relation); such a delta is retyped, so that every
+  // strategy binds and aligns sides of the base's schema.
+  std::vector<CanonicalDelta> retyped;
+  retyped.reserve(deltas.size());
+  std::vector<const CanonicalDelta*> updates;
   std::set<std::string> bases;
   for (const CanonicalDelta& delta : deltas) {
+    const Schema* schema = spec_->catalog().FindSchema(delta.relation);
+    if (schema == nullptr) {
+      return Status::NotFound(StrCat("delta targets unknown base relation '",
+                                     delta.relation, "'"));
+    }
+    bool typed = true;
+    for (const Relation* side : {&delta.inserts, &delta.deletes}) {
+      if (side->schema().SameAttrsAs(*schema)) {
+        continue;
+      }
+      if (!side->empty()) {
+        return Status::InvalidArgument(
+            StrCat("delta for '", delta.relation, "' carries ",
+                   side->schema().ToString(), ", not the base's ",
+                   schema->ToString()));
+      }
+      typed = false;
+    }
     if (delta.empty()) {
       continue;
     }
@@ -193,66 +178,97 @@ Status Warehouse::IntegrateTransaction(
           StrCat("transaction carries two deltas for '", delta.relation,
                  "'; merge them first (Source::ApplyTransaction does)"));
     }
-    nonempty.push_back(&delta);
+    if (typed) {
+      updates.push_back(&delta);
+    } else {  // The mistyped side is the empty one.
+      CanonicalDelta& copy = retyped.emplace_back(delta);
+      (copy.inserts.empty() ? copy.inserts : copy.deletes) = Relation(*schema);
+      updates.push_back(&copy);
+    }
   }
-  if (nonempty.empty()) {
-    return Status::Ok();
+  if (strategy_ == MaintenanceStrategy::kQuerySource && source == nullptr) {
+    return Status::InvalidArgument(
+        "kQuerySource maintenance needs a live Source");
   }
-  DWC_RETURN_IF_ERROR(BeginIntegration(nonempty));
-  Status status = Status::Internal("unknown strategy");
-  switch (strategy_) {
-    case MaintenanceStrategy::kIncremental: {
-      if (nonempty.size() == 1) {
-        status = IntegrateIncremental(*nonempty[0]);
+  if (updates.empty()) {
+    return Status::Ok();  // Nothing changes, so nothing publishes.
+  }
+
+  EvalStats stats;
+  Status status =
+      validate_deltas_ ? ValidateCanonical(updates, &stats) : Status::Ok();
+  if (status.ok()) {
+    switch (strategy_) {
+      case MaintenanceStrategy::kIncremental: {
+        Result<const DeltaPlan*> plan = PlanFor(bases);
+        status =
+            plan.ok() ? ApplyPlanned(**plan, updates, &stats) : plan.status();
         break;
       }
-      std::string key = Join(bases, ",");
-      auto it = transaction_plans_.find(key);
-      if (it == transaction_plans_.end()) {
-        Result<std::map<std::string, DeltaPair>> plan =
-            DeriveTransactionPlan(*spec_, bases);
-        if (!plan.ok()) {
-          return plan.status();
-        }
-        for (auto& [relation, pair] : *plan) {
-          (void)relation;
-          pair.plus = spec_->interner()->Intern(pair.plus);
-          pair.minus = spec_->interner()->Intern(pair.minus);
-        }
-        it = transaction_plans_.emplace(key, std::move(plan).value()).first;
-      }
-      status = ApplyPlanned(it->second, nonempty);
-      break;
+      case MaintenanceStrategy::kRecomputeFromInverse:
+        status = RebuildFromInverse(updates, &stats);
+        break;
+      case MaintenanceStrategy::kQuerySource:
+        status = RebuildFromSource(*source, &stats);
+        break;
     }
-    case MaintenanceStrategy::kRecomputeFromInverse:
-      status = IntegrateRecompute(nonempty);
-      break;
-    case MaintenanceStrategy::kQuerySource:
-      if (source == nullptr) {
-        return Status::InvalidArgument(
-            "kQuerySource maintenance needs a live Source");
-      }
-      status = IntegrateQuerySource(*source);
-      break;
+  }
+  {
+    std::lock_guard<std::mutex> lock(*stats_mu_);
+    last_integrate_stats_ = stats;
   }
   DWC_RETURN_IF_ERROR(status);
-  return CheckCertificates(nonempty);
+  return CheckCertificates(updates, stats);
 }
 
-Status Warehouse::IntegrateIncremental(const CanonicalDelta& delta) {
-  std::map<std::string, DeltaPair> per_relation;
-  for (const auto& [relation, per_base] : plan_.entries()) {
-    auto it = per_base.find(delta.relation);
-    if (it != per_base.end()) {
-      per_relation.emplace(relation, it->second);
+Status Warehouse::ValidateCanonical(
+    const std::vector<const CanonicalDelta*>& deltas, EvalStats* stats) const {
+  for (const CanonicalDelta* delta : deltas) {
+    if (spec_->FindInverse(delta->relation) == nullptr) {
+      continue;
+    }
+    // Canonical-form check against the reconstructed base: inserts must be
+    // new, deletes must be present. Rejecting here keeps every later phase
+    // infallible-by-construction on the delta's account.
+    DWC_ASSIGN_OR_RETURN(Relation base, ReconstructBase(delta->relation, stats));
+    for (bool insert : {true, false}) {
+      const Relation& side = insert ? delta->inserts : delta->deletes;
+      DWC_ASSIGN_OR_RETURN(Relation aligned, side.AlignTo(base.schema()));
+      for (const Tuple& tuple : aligned.tuples()) {
+        if (base.Contains(tuple) == insert) {
+          return Status::InvalidArgument(StrCat(
+              "non-canonical delta for '", delta->relation, "': ",
+              insert ? "insert " : "delete ", tuple.ToString(),
+              insert ? " is already present" : " is not present"));
+        }
+      }
     }
   }
-  return ApplyPlanned(per_relation, {&delta});
+  return Status::Ok();
+}
+
+Result<const Warehouse::DeltaPlan*> Warehouse::PlanFor(
+    const std::set<std::string>& bases) {
+  auto it = plans_.find(bases);
+  if (it == plans_.end()) {
+    DWC_ASSIGN_OR_RETURN(DeltaPlan plan, DeriveTransactionPlan(*spec_, bases));
+    // Cross-expression CSE: shared structure (each R̂i, the inverse
+    // expressions, repeated delta-semijoins) collapses onto the spec's
+    // canonical DAG, so the subplan cache can recycle results between
+    // maintenance rounds and translated queries.
+    for (auto& [relation, pair] : plan) {
+      (void)relation;
+      pair.plus = spec_->interner()->Intern(pair.plus);
+      pair.minus = spec_->interner()->Intern(pair.minus);
+    }
+    it = plans_.emplace(bases, std::move(plan)).first;
+  }
+  return &it->second;
 }
 
 Status Warehouse::ApplyPlanned(
-    const std::map<std::string, DeltaPair>& per_relation_plan,
-    const std::vector<const CanonicalDelta*>& deltas) {
+    const DeltaPlan& plan, const std::vector<const CanonicalDelta*>& deltas,
+    EvalStats* stats) {
   // Bind the old warehouse state plus all reported deltas.
   Environment env = Env();
   for (const CanonicalDelta* delta : deltas) {
@@ -270,10 +286,10 @@ Status Warehouse::ApplyPlanned(
     Relation minus;
   };
   std::vector<Pending> pending;
-  pending.reserve(per_relation_plan.size());
+  pending.reserve(plan.size());
   Evaluator evaluator = MakeEvaluator(&env);
   auto evaluate = [&]() -> Status {
-    for (const auto& [relation, pair] : per_relation_plan) {
+    for (const auto& [relation, pair] : plan) {
       DWC_RETURN_IF_ERROR(HookStep());
       Pending& p = pending.emplace_back();
       p.relation = relation;
@@ -291,7 +307,7 @@ Status Warehouse::ApplyPlanned(
     return Status::Ok();
   };
   Status evaluated = evaluate();
-  MergeIntegrateStats(evaluator.stats());
+  stats->MergeFrom(evaluator.stats());
   DWC_RETURN_IF_ERROR(evaluated);
 
   // Summary tables: derive (and cache) the exact deltas of each aggregate's
@@ -348,7 +364,7 @@ Status Warehouse::ApplyPlanned(
         }
         Result<Relation> minus =
             agg_evaluator.Materialize(*cached->second.minus);
-        MergeIntegrateStats(agg_evaluator.stats());
+        stats->MergeFrom(agg_evaluator.stats());
         if (!minus.ok()) {
           return minus.status();
         }
@@ -444,78 +460,85 @@ const AggregateView* Warehouse::FindAggregate(const std::string& name) const {
   return it == aggregates_.end() ? nullptr : &it->second;
 }
 
-Status Warehouse::ReinitializeAggregates() {
-  Environment env = Env();
-  for (auto& [name, view] : aggregates_) {
-    (void)name;
-    DWC_RETURN_IF_ERROR(view.Initialize(env));
-  }
-  return Status::Ok();
-}
-
-Status Warehouse::IntegrateRecompute(
-    const std::vector<const CanonicalDelta*>& deltas) {
-  // Reconstruct the base state through W^-1, apply the deltas, re-derive.
-  // All of this happens on a local copy, so failures before the state swap
-  // leave the warehouse untouched.
+Status Warehouse::RebuildFromInverse(
+    const std::vector<const CanonicalDelta*>& deltas, EvalStats* stats) {
+  // The deltas apply to a reconstructed copy, so a failure before Rebuild
+  // installs anything leaves the warehouse untouched.
   DWC_RETURN_IF_ERROR(HookStep());
-  Result<Database> bases = ReconstructSources();
-  if (!bases.ok()) {
-    return bases.status();
-  }
+  DWC_ASSIGN_OR_RETURN(Database bases, ReconstructSources(stats));
   for (const CanonicalDelta* delta : deltas) {
-    Relation* rel = bases->FindMutableRelation(delta->relation);
+    Relation* rel = bases.FindMutableRelation(delta->relation);
     if (rel == nullptr) {
       return Status::NotFound(
           StrCat("unknown base relation '", delta->relation, "'"));
     }
-    Result<Relation> deletes = delta->deletes.AlignTo(rel->schema());
-    if (!deletes.ok()) {
-      return deletes.status();
-    }
-    for (const Tuple& tuple : deletes->tuples()) {
-      rel->Erase(tuple);
-    }
-    Result<Relation> inserts = delta->inserts.AlignTo(rel->schema());
-    if (!inserts.ok()) {
-      return inserts.status();
-    }
-    for (const Tuple& tuple : inserts->tuples()) {
-      rel->Insert(tuple);
+    for (bool insert : {false, true}) {
+      const Relation& side = insert ? delta->inserts : delta->deletes;
+      DWC_ASSIGN_OR_RETURN(Relation aligned, side.AlignTo(rel->schema()));
+      for (const Tuple& tuple : aligned.tuples()) {
+        if (insert) {
+          rel->Insert(tuple);
+        } else {
+          rel->Erase(tuple);
+        }
+      }
     }
   }
-  Environment env = Environment::FromDatabase(*bases);
-  if (aggregates_.empty()) {
-    // MaterializeFrom builds the new state fully before swapping, so a
-    // failure leaves the old state in place.
-    DWC_RETURN_IF_ERROR(MaterializeFrom(env));
-    DWC_RETURN_IF_ERROR(HookStep());
-    PublishCurrent();
-    return Status::Ok();
+  return Rebuild(Environment::FromDatabase(bases), stats);
+}
+
+Status Warehouse::RebuildFromSource(const Source& source, EvalStats* stats) {
+  // The traditional integrator: pull every base relation the warehouse
+  // definitions mention from the source. These bindings came off the wire,
+  // not from the warehouse store: tagged, every resolution of them lands in
+  // source_reads.
+  Database bases;
+  Environment env;
+  for (const ViewDef& view : spec_->AllWarehouseViews()) {
+    for (const std::string& name : view.expr->ReferencedNames()) {
+      if (!spec_->catalog().HasRelation(name) || bases.HasRelation(name)) {
+        continue;
+      }
+      DWC_ASSIGN_OR_RETURN(Relation rel, source.AnswerQuery(Expr::Base(name)));
+      DWC_RETURN_IF_ERROR(bases.AddRelation(name, std::move(rel)));
+      env.MarkSource(name);
+    }
   }
-  // Aggregate re-init installs fresh tables; snapshot live state for
-  // rollback.
-  Database old_state = state_;
+  env.BindDatabase(bases);
+  return Rebuild(env, stats);
+}
+
+Status Warehouse::Rebuild(const Environment& bases, EvalStats* stats) {
+  auto step = [&] { return stats == nullptr ? Status::Ok() : HookStep(); };
+  DWC_ASSIGN_OR_RETURN(Database fresh, MaterializeFrom(bases, stats));
+  DWC_RETURN_IF_ERROR(step());
+  // Whole-map swap: relation objects referenced by published epochs stay
+  // alive through their shared slots, so pinned readers are unaffected.
+  // The aggregates re-initialize over the new state; if one fails, both
+  // roll back.
+  Database old_state = std::exchange(state_, std::move(fresh));
   std::map<std::string, AggregateView> old_aggregates = aggregates_;
-  DWC_RETURN_IF_ERROR(MaterializeFrom(env));
-  // A crash between the swap and aggregate re-init leaves torn state the
-  // caller discards (checkpoint + journal recovery) — and, per the epoch
-  // contract, publishes nothing: pinned readers keep the previous epoch.
-  DWC_RETURN_IF_ERROR(HookStep());
-  Status status = ReinitializeAggregates();
-  if (!status.ok()) {
-    state_ = std::move(old_state);
-    aggregates_ = std::move(old_aggregates);
-    return status;
+  Environment env = Env();
+  for (auto& [name, view] : aggregates_) {
+    (void)name;
+    Status status = view.Initialize(env);
+    if (!status.ok()) {
+      state_ = std::move(old_state);
+      aggregates_ = std::move(old_aggregates);
+      return status;
+    }
   }
-  DWC_RETURN_IF_ERROR(HookStep());
+  // A crash here leaves torn state the caller discards (checkpoint +
+  // journal recovery) and, per the epoch contract, publishes nothing:
+  // pinned readers keep the previous epoch.
+  DWC_RETURN_IF_ERROR(step());
   PublishCurrent();
   return Status::Ok();
 }
 
 Status Warehouse::CheckCertificates(
-    const std::vector<const CanonicalDelta*>& deltas) const {
-  const EvalStats stats = last_integrate_stats();
+    const std::vector<const CanonicalDelta*>& deltas,
+    const EvalStats& stats) const {
   if (certificates_ == nullptr || stats.source_reads == 0) {
     return Status::Ok();
   }
@@ -543,66 +566,6 @@ Status Warehouse::CheckCertificates(
              Join(bases, ", "), "} performed ", stats.source_reads,
              " source read(s), but every affected (base, delta-kind) is "
              "certified SELF or COMPLEMENT"));
-}
-
-Status Warehouse::IntegrateQuerySource(const Source& source) {
-  // The traditional integrator: recompute every view by querying the source
-  // databases (and the complements too, so state stays comparable).
-  Environment env;  // Views bound as they materialize; bases via queries.
-  Database fresh;
-  // Pull every base relation the warehouse definitions mention.
-  std::set<std::string> needed;
-  for (const ViewDef& view : spec_->AllWarehouseViews()) {
-    for (const std::string& name : view.expr->ReferencedNames()) {
-      if (spec_->catalog().HasRelation(name)) {
-        needed.insert(name);
-      }
-    }
-  }
-  Database base_copy;
-  for (const std::string& name : needed) {
-    Result<Relation> rel = source.AnswerQuery(Expr::Base(name));
-    if (!rel.ok()) {
-      return rel.status();
-    }
-    DWC_RETURN_IF_ERROR(base_copy.AddRelation(name, std::move(rel).value()));
-  }
-  env.BindDatabase(base_copy);
-  // These bindings came off the wire from the source, not from the
-  // warehouse store: tag them so every resolution lands in source_reads.
-  for (const std::string& name : needed) {
-    env.MarkSource(name);
-  }
-  for (const ViewDef& view : spec_->AllWarehouseViews()) {
-    Evaluator evaluator = MakeEvaluator(&env);
-    Result<std::shared_ptr<const Relation>> rel = evaluator.Eval(*view.expr);
-    MergeIntegrateStats(evaluator.stats());
-    if (!rel.ok()) {
-      return rel.status();
-    }
-    // Deep-copied for the reason MaterializeFrom gives.
-    DWC_RETURN_IF_ERROR(fresh.AddRelation(view.name, (*rel)->DeepCopy()));
-    env.Bind(view.name, fresh.FindRelation(view.name));
-  }
-  DWC_RETURN_IF_ERROR(HookStep());
-  if (aggregates_.empty()) {
-    state_ = std::move(fresh);
-    DWC_RETURN_IF_ERROR(HookStep());
-    PublishCurrent();
-    return Status::Ok();
-  }
-  Database old_state = std::move(state_);
-  std::map<std::string, AggregateView> old_aggregates = aggregates_;
-  state_ = std::move(fresh);
-  Status status = ReinitializeAggregates();
-  if (!status.ok()) {
-    state_ = std::move(old_state);
-    aggregates_ = std::move(old_aggregates);
-    return status;
-  }
-  DWC_RETURN_IF_ERROR(HookStep());
-  PublishCurrent();
-  return Status::Ok();
 }
 
 Result<Relation> Warehouse::AnswerQuery(const ExprRef& query,
@@ -681,26 +644,11 @@ Result<ExprRef> Warehouse::PlanQueryAt(const SnapshotHandle& snapshot,
 }
 
 Status Warehouse::ResetFromSources(const Database& sources) {
-  Environment env = Environment::FromDatabase(sources);
-  if (aggregates_.empty()) {
-    DWC_RETURN_IF_ERROR(MaterializeFrom(env));
-    PublishCurrent();
-    return Status::Ok();
-  }
-  Database old_state = state_;
-  std::map<std::string, AggregateView> old_aggregates = aggregates_;
-  DWC_RETURN_IF_ERROR(MaterializeFrom(env));
-  Status status = ReinitializeAggregates();
-  if (!status.ok()) {
-    state_ = std::move(old_state);
-    aggregates_ = std::move(old_aggregates);
-    return status;
-  }
-  PublishCurrent();
-  return Status::Ok();
+  return Rebuild(Environment::FromDatabase(sources), nullptr);
 }
 
-Result<Relation> Warehouse::ReconstructBase(const std::string& name) const {
+Result<Relation> Warehouse::ReconstructBase(const std::string& name,
+                                            EvalStats* stats) const {
   const ExprRef* inverse = spec_->FindInverse(name);
   if (inverse == nullptr) {
     return Status::NotFound(
@@ -709,6 +657,9 @@ Result<Relation> Warehouse::ReconstructBase(const std::string& name) const {
   Environment env = Env();
   Evaluator evaluator = MakeEvaluator(&env);
   DWC_ASSIGN_OR_RETURN(Relation rel, evaluator.Materialize(**inverse));
+  if (stats != nullptr) {
+    stats->MergeFrom(evaluator.stats());
+  }
   const Schema* declared = spec_->catalog().FindSchema(name);
   if (declared != nullptr && !(rel.schema() == *declared)) {
     DWC_ASSIGN_OR_RETURN(rel, rel.AlignTo(*declared));
@@ -716,11 +667,11 @@ Result<Relation> Warehouse::ReconstructBase(const std::string& name) const {
   return rel;
 }
 
-Result<Database> Warehouse::ReconstructSources() const {
+Result<Database> Warehouse::ReconstructSources(EvalStats* stats) const {
   Database bases(spec_->catalog_ptr());
   for (const auto& [base, inverse] : spec_->inverses()) {
     (void)inverse;
-    DWC_ASSIGN_OR_RETURN(Relation rel, ReconstructBase(base));
+    DWC_ASSIGN_OR_RETURN(Relation rel, ReconstructBase(base, stats));
     DWC_RETURN_IF_ERROR(bases.AddRelation(base, std::move(rel)));
   }
   return bases;

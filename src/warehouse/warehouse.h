@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -66,9 +67,11 @@ class Warehouse {
                                 MaintenanceStrategy strategy =
                                     MaintenanceStrategy::kIncremental);
 
-  // A copied warehouse is an independent store: deep-copied state (fresh
-  // relation uids), its own epoch timeline starting at 1, shared subplan
-  // cache (safe: fresh uids can never falsely hit the original's entries).
+  // A copied warehouse is an independent store: its relations are fresh
+  // objects (fresh uids) that share the original's tuples until either side
+  // mutates (relational/database.h), it has its own epoch timeline starting
+  // at 1, and it shares the subplan cache (safe: fresh uids can never
+  // falsely hit the original's entries).
   Warehouse(const Warehouse& other)
       : spec_(other.spec_), strategy_(other.strategy_) {
     CopyFrom(other);
@@ -84,7 +87,9 @@ class Warehouse {
 
   const WarehouseSpec& spec() const { return *spec_; }
   MaintenanceStrategy strategy() const { return strategy_; }
-  const MaintenancePlan& plan() const { return plan_; }
+  // The single-base entries of the incremental plan table (empty under
+  // the other strategies).
+  MaintenancePlan plan() const;
 
   // Materialized warehouse relation by name; nullptr when absent.
   const Relation* FindRelation(const std::string& name) const {
@@ -92,16 +97,26 @@ class Warehouse {
   }
   const Database& state() const { return state_; }
 
-  // Integrates one reported delta. `source` is only consulted under
-  // kQuerySource (pass nullptr otherwise).
+  // Integrates one reported delta: the one-delta case of
+  // IntegrateTransaction. `source` is only consulted under kQuerySource
+  // (pass nullptr otherwise).
   Status Integrate(const CanonicalDelta& delta, const Source* source = nullptr);
 
   // Integrates a multi-relation transaction atomically: all deltas are
   // treated as one state transition (maintenance expressions are derived
   // for the simultaneous update — Theorem 4.1 places no single-relation
-  // restriction on u). Deltas must be canonical relative to the pre-
-  // transaction state and carry at most one entry per relation
-  // (Source::ApplyTransaction produces exactly this form).
+  // restriction on u). Every refresh runs here. Deltas must be canonical
+  // relative to the pre-transaction state and carry at most one non-empty
+  // entry per relation (Source::ApplyTransaction produces exactly this
+  // form).
+  //
+  // Argument checks come first, under every strategy: each delta names a
+  // base relation (NotFound otherwise), each non-empty side carries that
+  // base's attributes (InvalidArgument otherwise), and kQuerySource has a
+  // source (InvalidArgument otherwise). After them an update whose deltas
+  // are all empty is a no-op that publishes nothing. Then one dispatch on
+  // the strategy: the plan-table entry for the updated bases (incremental),
+  // or a full rebuild from W^-1 plus the deltas or from the source.
   Status IntegrateTransaction(const std::vector<CanonicalDelta>& deltas,
                               const Source* source = nullptr);
 
@@ -160,19 +175,25 @@ class Warehouse {
   EpochStats epoch_stats() const { return epochs_->stats(); }
 
   // Rebuilds the full base database state through W^-1 (Proposition 2.1's
-  // one-to-one mapping, inverted). Used by consistency checks and tests.
-  Result<Database> ReconstructSources() const;
+  // one-to-one mapping, inverted). Used by recompute refreshes, consistency
+  // checks and tests.
+  Result<Database> ReconstructSources() const {
+    return ReconstructSources(nullptr);
+  }
 
   // Rebuilds one base relation through its inverse expression (aligned to
   // the declared schema). NotFound when the base has no inverse — e.g. a
   // partial warehouse. Used by delta validation and the recovery ladder's
   // targeted resync (ingest.h).
-  Result<Relation> ReconstructBase(const std::string& name) const;
+  Result<Relation> ReconstructBase(const std::string& name) const {
+    return ReconstructBase(name, nullptr);
+  }
 
   // Rung 3 of the recovery ladder (ingest.h): rematerializes every
   // warehouse relation from a fresh copy of the base state and
   // re-initializes the aggregates, abandoning whatever the current state
-  // holds. Leaves the old state in place on failure.
+  // holds. Leaves the old state in place on failure. Not a refresh: it
+  // passes no crash-injection step and leaves last_integrate_stats() alone.
   Status ResetFromSources(const Database& sources);
 
   // When enabled, Integrate/IntegrateTransaction reconstruct each affected
@@ -197,10 +218,12 @@ class Warehouse {
   }
 
   // Evaluator counters accumulated during the most recent
-  // Integrate/IntegrateTransaction call, with every evaluator's stats
-  // merged in (EvalStats::MergeFrom). Returns a copy taken under the stats
-  // mutex, so it is safe to call from any thread while an integration is
-  // in flight (the copy is the last *finished* integration's view).
+  // Integrate/IntegrateTransaction call, with the stats of every evaluator
+  // it ran merged in (EvalStats::MergeFrom): validation, maintenance
+  // expressions and aggregate folds, or W^-1 and the views of a full
+  // rebuild. Returns a copy taken under the stats mutex, so it is safe to
+  // call from any thread while an integration is in flight (the copy is
+  // the last *finished* integration's view).
   EvalStats last_integrate_stats() const {
     std::lock_guard<std::mutex> lock(*stats_mu_);
     return last_integrate_stats_;
@@ -258,29 +281,49 @@ class Warehouse {
 
   void CopyFrom(const Warehouse& other);
 
-  Status IntegrateIncremental(const CanonicalDelta& delta);
-  Status IntegrateRecompute(const std::vector<const CanonicalDelta*>& deltas);
-  Status IntegrateQuerySource(const Source& source);
-  // Shared entry checks: known base relation, and (when enabled) canonical
-  // form against the W^-1-reconstructed base. Resets the hook step counter.
-  Status BeginIntegration(const std::vector<const CanonicalDelta*>& deltas);
+  // Maintenance expressions per warehouse relation, for one set of
+  // simultaneously updated bases.
+  using DeltaPlan = std::map<std::string, DeltaPair>;
+
+  // Rejects a non-canonical delta (an insert already present, a delete of
+  // an absent tuple) against its W^-1-reconstructed base.
+  Status ValidateCanonical(const std::vector<const CanonicalDelta*>& deltas,
+                           EvalStats* stats) const;
+  // The plan-table entry for `bases`, derived and interned on first use.
+  Result<const DeltaPlan*> PlanFor(const std::set<std::string>& bases);
   // Crash-injection hook call site; no-op without a hook installed.
   Status HookStep() {
     return integration_hook_ ? integration_hook_(hook_step_++) : Status::Ok();
   }
-  // Shared incremental core: evaluates `per_relation_plan` against the old
-  // state with every delta bound and folds the summary tables, then
-  // applies both in a commit that cannot fail on the delta's account.
-  Status ApplyPlanned(const std::map<std::string, DeltaPair>& per_relation_plan,
-                      const std::vector<const CanonicalDelta*>& deltas);
+  // The incremental refresh: evaluates `plan` against the old state with
+  // every delta bound and folds the summary tables, then applies both in a
+  // commit that cannot fail on the delta's account.
+  Status ApplyPlanned(const DeltaPlan& plan,
+                      const std::vector<const CanonicalDelta*>& deltas,
+                      EvalStats* stats);
+  // Step 1 of the two full rebuilds: the updated base state, reconstructed
+  // through W^-1 or pulled from the source. Both end in Rebuild.
+  Status RebuildFromInverse(const std::vector<const CanonicalDelta*>& deltas,
+                            EvalStats* stats);
+  Status RebuildFromSource(const Source& source, EvalStats* stats);
+  // Step 2 of every full rebuild (and of ResetFromSources): materializes
+  // the views over `bases`, re-initializes the aggregates, rolling both
+  // back if that fails, and publishes. `stats` is null outside a refresh,
+  // which then also passes no crash-injection step.
+  Status Rebuild(const Environment& bases, EvalStats* stats);
   // The EnforceCertificates() cross-check; Ok when no report is installed.
-  Status CheckCertificates(
-      const std::vector<const CanonicalDelta*>& deltas) const;
+  Status CheckCertificates(const std::vector<const CanonicalDelta*>& deltas,
+                           const EvalStats& stats) const;
 
   // Materializes all warehouse relations from an environment that binds the
-  // base relations, writing into `state_` (replacing existing relations).
-  // Does not publish: callers publish on overall success.
-  Status MaterializeFrom(const Environment& base_env);
+  // base relations. Neither installs nor publishes the result.
+  Result<Database> MaterializeFrom(const Environment& base_env,
+                                   EvalStats* stats) const;
+  // ReconstructSources/ReconstructBase, merging the evaluators' counters
+  // into `stats` when it is non-null.
+  Result<Database> ReconstructSources(EvalStats* stats) const;
+  Result<Relation> ReconstructBase(const std::string& name,
+                                   EvalStats* stats) const;
 
   // The frozen version set of the current live state (relations +
   // aggregate tables), ready to publish as an epoch.
@@ -290,49 +333,34 @@ class Warehouse {
   // here (or in ApplyPlanned's Commit::Publish).
   void PublishCurrent();
 
-  void ResetIntegrateStats() {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
-    last_integrate_stats_ = EvalStats();
-    last_integrate_epoch_ = 0;
-  }
-  void MergeIntegrateStats(const EvalStats& stats) {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
-    last_integrate_stats_.MergeFrom(stats);
-  }
   void TagIntegrateEpoch(uint64_t epoch) {
     std::lock_guard<std::mutex> lock(*stats_mu_);
     last_integrate_epoch_ = epoch;
   }
 
   // Every evaluator the warehouse runs is wired to the spec's interner and
-  // this warehouse's subplan cache (a no-op while the budget is 0).
-  Evaluator MakeEvaluator(const Environment* env) const {
-    return Evaluator(env, evaluator_options_, spec_->interner().get(),
-                     subplan_cache_.get());
-  }
-  // Same, with a per-operation cancellation token layered onto the
-  // warehouse-wide options (the query path; integrations stay ungoverned
-  // here — admission control bounds them before they start).
+  // this warehouse's subplan cache (a no-op while the budget is 0). A
+  // query layers its cancellation token onto the warehouse-wide options;
+  // integrations stay ungoverned here — admission control bounds them
+  // before they start.
   Evaluator MakeEvaluator(const Environment* env,
-                          const CancelToken* cancel) const {
+                          const CancelToken* cancel = nullptr) const {
     EvaluatorOptions options = evaluator_options_;
     options.cancel = cancel;
     return Evaluator(env, options, spec_->interner().get(),
                      subplan_cache_.get());
   }
-  // Rebuilds every aggregate view from the current state.
-  Status ReinitializeAggregates();
 
   std::shared_ptr<const WarehouseSpec> spec_;
   MaintenanceStrategy strategy_;
-  MaintenancePlan plan_;
+  // The incremental plan table, keyed by the set of updated bases: Load
+  // fills the single-base keys, and a transaction adds its key on first use.
+  std::map<std::set<std::string>, DeltaPlan> plans_;
   Database state_;
   std::map<std::string, AggregateView> aggregates_;
   // Cached source-delta expressions per (aggregate, set of changed
   // warehouse relations), keyed by "<aggregate>|<rel1>,<rel2>".
   std::map<std::string, DeltaPair> aggregate_delta_cache_;
-  // Cached transaction plans keyed by the comma-joined sorted base set.
-  std::map<std::string, std::map<std::string, DeltaPair>> transaction_plans_;
   EvaluatorOptions evaluator_options_;
   // Held by pointer so Warehouse stays movable/copyable (the cache embeds a
   // mutex). A copied warehouse shares the cache storage, which is safe: its

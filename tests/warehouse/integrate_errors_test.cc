@@ -46,6 +46,24 @@ class IntegrateErrorsTest : public ::testing::Test {
     return rel;
   }
 
+  // Integrates `delta` through one of the two entry points: Integrate, or
+  // IntegrateTransaction of the one delta.
+  static Status Refresh(Warehouse* warehouse, const CanonicalDelta& delta,
+                        bool transaction, const Source* source) {
+    return transaction ? warehouse->IntegrateTransaction({delta}, source)
+                       : warehouse->Integrate(delta, source);
+  }
+
+  static std::string Label(MaintenanceStrategy strategy, bool transaction) {
+    return std::string(MaintenanceStrategyName(strategy)) +
+           (transaction ? " IntegrateTransaction" : " Integrate");
+  }
+
+  static constexpr MaintenanceStrategy kStrategies[] = {
+      MaintenanceStrategy::kIncremental,
+      MaintenanceStrategy::kRecomputeFromInverse,
+      MaintenanceStrategy::kQuerySource};
+
   ScriptContext context_;
   std::shared_ptr<WarehouseSpec> spec_;
   std::unique_ptr<Source> source_;
@@ -130,6 +148,101 @@ TEST_F(IntegrateErrorsTest, EmptyTransactionIsANoOp) {
   empty.relation = "Emp";
   DWC_ASSERT_OK(warehouse_->IntegrateTransaction({empty}));
   EXPECT_EQ(Fingerprint(), before);
+}
+
+// The argument checks come first under every strategy and entry point;
+// after them an all-empty update, typed or not, is a no-op that publishes
+// nothing.
+TEST_F(IntegrateErrorsTest, EmptyUpdateIsANoOpAfterTheArgumentChecks) {
+  for (MaintenanceStrategy strategy : kStrategies) {
+    for (bool transaction : {false, true}) {
+      const std::string label = Label(strategy, transaction);
+      Result<Warehouse> warehouse =
+          Warehouse::Load(spec_, source_->db(), strategy);
+      DWC_ASSERT_OK(warehouse);
+      const uint64_t before = StateDigest(warehouse->state()).Combined();
+      CanonicalDelta typed;
+      typed.relation = "Emp";
+      typed.inserts = EmpRelation({});
+      typed.deletes = EmpRelation({});
+      CanonicalDelta schemaless;
+      schemaless.relation = "Sale";
+      for (const CanonicalDelta* delta : {&typed, &schemaless}) {
+        Status status =
+            Refresh(&*warehouse, *delta, transaction, source_.get());
+        EXPECT_TRUE(status.ok()) << label << ": " << status.ToString();
+        EXPECT_EQ(warehouse->current_epoch(), 1u) << label;
+        EXPECT_EQ(warehouse->last_integrate_epoch(), 0u) << label;
+      }
+      CanonicalDelta unknown;
+      unknown.relation = "Nope";
+      EXPECT_EQ(
+          Refresh(&*warehouse, unknown, transaction, source_.get()).code(),
+          StatusCode::kNotFound)
+          << label;
+      const StatusCode sourceless =
+          Refresh(&*warehouse, typed, transaction, nullptr).code();
+      EXPECT_EQ(sourceless, strategy == MaintenanceStrategy::kQuerySource
+                                ? StatusCode::kInvalidArgument
+                                : StatusCode::kOk)
+          << label;
+      EXPECT_EQ(warehouse->current_epoch(), 1u) << label;
+      EXPECT_EQ(StateDigest(warehouse->state()).Combined(), before) << label;
+    }
+  }
+}
+
+// A side that carries tuples must carry its base's attributes: refused
+// before any work under every strategy and entry point, with or without
+// canonical-form validation.
+TEST_F(IntegrateErrorsTest, SideWithAnotherBasesSchemaRejected) {
+  for (MaintenanceStrategy strategy : kStrategies) {
+    for (bool transaction : {false, true}) {
+      for (bool validate : {false, true}) {
+        const std::string label = Label(strategy, transaction);
+        Result<Warehouse> warehouse =
+            Warehouse::Load(spec_, source_->db(), strategy);
+        DWC_ASSERT_OK(warehouse);
+        warehouse->set_validate_deltas(validate);
+        const uint64_t before = StateDigest(warehouse->state()).Combined();
+        CanonicalDelta delta;
+        delta.relation = "Sale";
+        delta.inserts = EmpRelation({T({S("Nina"), I(27)})});
+        EXPECT_EQ(
+            Refresh(&*warehouse, delta, transaction, source_.get()).code(),
+            StatusCode::kInvalidArgument)
+            << label << " validate=" << validate;
+        EXPECT_EQ(warehouse->current_epoch(), 1u) << label;
+        EXPECT_EQ(StateDigest(warehouse->state()).Combined(), before)
+            << label;
+      }
+    }
+  }
+}
+
+// An empty side built without a schema stands for no tuples of the base's
+// schema: a delta that carries inserts beside it integrates under every
+// strategy and entry point.
+TEST_F(IntegrateErrorsTest, SchemalessEmptySideBesideTuplesIntegrates) {
+  for (MaintenanceStrategy strategy : kStrategies) {
+    for (bool transaction : {false, true}) {
+      const std::string label = Label(strategy, transaction);
+      Source source(context_.db);
+      Result<Warehouse> warehouse =
+          Warehouse::Load(spec_, source.db(), strategy);
+      DWC_ASSERT_OK(warehouse);
+      Result<CanonicalDelta> applied =
+          source.Apply({"Sale", {T({S("Radio"), S("John")})}, {}});
+      DWC_ASSERT_OK(applied);
+      CanonicalDelta delta;
+      delta.relation = "Sale";
+      delta.inserts = applied->inserts;
+      Status status = Refresh(&*warehouse, delta, transaction, &source);
+      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
+      DWC_EXPECT_OK(CheckConsistency(*warehouse, source.db()));
+      EXPECT_EQ(warehouse->current_epoch(), 2u) << label;
+    }
+  }
 }
 
 TEST_F(IntegrateErrorsTest, ReconstructBaseRoundTripsAndRejectsUnknown) {

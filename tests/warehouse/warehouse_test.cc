@@ -82,6 +82,16 @@ TEST_F(WarehouseTest, AllStrategiesConverge) {
     DWC_ASSERT_OK(delta);
     DWC_ASSERT_OK(warehouse->Integrate(*delta, source));
     DWC_ASSERT_OK(CheckConsistency(*warehouse, source->db()));
+    // Every strategy reports the evaluators it ran, and only the
+    // query-source baseline resolves source bindings.
+    const EvalStats stats = warehouse->last_integrate_stats();
+    const char* name = MaintenanceStrategyName(warehouse->strategy());
+    EXPECT_GT(stats.joins, 0u) << name;
+    if (warehouse->strategy() == MaintenanceStrategy::kQuerySource) {
+      EXPECT_GT(stats.source_reads, 0u) << name;
+    } else {
+      EXPECT_EQ(stats.source_reads, 0u) << name;
+    }
   }
   EXPECT_TRUE(w1->state().SameStateAs(w2->state()));
   EXPECT_TRUE(w1->state().SameStateAs(w3->state()));
